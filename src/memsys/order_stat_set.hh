@@ -120,6 +120,14 @@ class OrderStatSet
         return n;
     }
 
+    /** Number of present keys less than or equal to @p key: its
+     *  1-based position among them when present. */
+    std::uint64_t
+    rank(std::uint64_t key) const
+    {
+        return size_ - countGreater(key);
+    }
+
     /** Whether @p key is present. */
     bool
     contains(std::uint64_t key) const

@@ -1,8 +1,5 @@
 #include "memsys/tree_stack_distance.hh"
 
-#include <algorithm>
-#include <vector>
-
 namespace wsg::memsys
 {
 
@@ -10,24 +7,22 @@ DistanceSample
 TreeStackDistanceProfiler::accessOne(Addr line)
 {
     DistanceSample sample;
-    auto it = last_.find(line);
-    if (it == last_.end()) {
+    std::int64_t &stamp = stamps_[line];
+    if (stamp == 0) {
         sample.kind = RefClass::Cold;
-    } else if (it->second == kInvalidated) {
+        ++touched_;
+    } else if (stamp == kInvalidated) {
         sample.kind = RefClass::Coherence;
     } else {
         sample.kind = RefClass::Finite;
-        auto stamp = static_cast<std::uint64_t>(it->second);
+        auto old = static_cast<std::uint64_t>(stamp);
         // Depth == number of live lines touched more recently.
-        sample.distance = live_.countGreater(stamp);
-        live_.erase(stamp);
+        sample.distance = live_.countGreater(old);
+        live_.erase(old);
     }
 
     ++now_;
-    if (it != last_.end())
-        it->second = static_cast<std::int64_t>(now_);
-    else
-        last_.emplace(line, static_cast<std::int64_t>(now_));
+    stamp = static_cast<std::int64_t>(now_);
     live_.insertMax(now_);
     if (live_.span() > kMinRenumberSpan &&
         live_.span() > 4 * live_.size())
@@ -38,27 +33,19 @@ TreeStackDistanceProfiler::accessOne(Addr line)
 void
 TreeStackDistanceProfiler::renumber()
 {
-    // The live stamps are exactly the non-tombstone values of last_
-    // (one per live line). Sorting them gives the order-preserving
-    // renumbering old-stamp -> rank.
-    std::vector<std::uint64_t> stamps;
-    stamps.reserve(static_cast<std::size_t>(live_.size()));
-    for (const auto &entry : last_)
-        if (entry.second != kInvalidated)
-            stamps.push_back(static_cast<std::uint64_t>(entry.second));
-    std::sort(stamps.begin(), stamps.end());
+    // The live stamps are exactly the positive slots of the table (one
+    // per live line); each one's rank among them is the
+    // order-preserving renumbering old-stamp -> 1..live.
+    stamps_.forEach([this](std::int64_t &stamp) {
+        if (stamp > 0)
+            stamp = static_cast<std::int64_t>(
+                live_.rank(static_cast<std::uint64_t>(stamp)));
+    });
+    std::uint64_t live = live_.size();
     live_.clear();
-    for (std::uint64_t i = 0; i < stamps.size(); ++i)
-        live_.insertMax(i + 1);
-    for (auto &entry : last_) {
-        if (entry.second == kInvalidated)
-            continue;
-        auto it = std::lower_bound(
-            stamps.begin(), stamps.end(),
-            static_cast<std::uint64_t>(entry.second));
-        entry.second = (it - stamps.begin()) + 1;
-    }
-    now_ = stamps.size();
+    for (std::uint64_t i = 1; i <= live; ++i)
+        live_.insertMax(i);
+    now_ = live;
 }
 
 DistanceSample
@@ -78,30 +65,32 @@ TreeStackDistanceProfiler::accessBatch(const Addr *lines, std::size_t n,
 bool
 TreeStackDistanceProfiler::invalidate(Addr line)
 {
-    auto it = last_.find(line);
-    if (it == last_.end() || it->second == kInvalidated)
+    std::int64_t *stamp = stamps_.find(line);
+    if (!stamp || *stamp <= 0)
         return false;
-    live_.erase(static_cast<std::uint64_t>(it->second));
-    it->second = kInvalidated;
+    live_.erase(static_cast<std::uint64_t>(*stamp));
+    *stamp = kInvalidated;
     return true;
 }
 
 bool
 TreeStackDistanceProfiler::evict(Addr line)
 {
-    auto it = last_.find(line);
-    if (it == last_.end())
+    std::int64_t *stamp = stamps_.find(line);
+    if (!stamp || *stamp == 0)
         return false;
-    if (it->second != kInvalidated)
-        live_.erase(static_cast<std::uint64_t>(it->second));
-    last_.erase(it);
+    if (*stamp != kInvalidated)
+        live_.erase(static_cast<std::uint64_t>(*stamp));
+    stamps_.erase(line);
+    --touched_;
     return true;
 }
 
 void
 TreeStackDistanceProfiler::clear()
 {
-    last_.clear();
+    stamps_.clear();
+    touched_ = 0;
     live_.clear();
     now_ = 0;
 }
@@ -109,11 +98,8 @@ TreeStackDistanceProfiler::clear()
 std::uint64_t
 TreeStackDistanceProfiler::memoryBytes() const
 {
-    // Same map-node constant as the list profiler so exact-vs-exact
-    // memory comparisons isolate the index structure.
-    constexpr std::uint64_t kMapNodeBytes = 48;
-    return static_cast<std::uint64_t>(last_.size()) * kMapNodeBytes +
-           live_.memoryBytes() + sizeof(*this);
+    return touched_ * kAccountedLineBytes + live_.memoryBytes() +
+           kAccountedObjectBytes;
 }
 
 } // namespace wsg::memsys

@@ -16,14 +16,28 @@
  * Renumbering preserves the relative order of live stamps, so every
  * reported distance is unaffected — the bit-identical guarantee holds
  * across compaction points.
+ *
+ * Each line's latest stamp lives in a LineTable indexed by line number,
+ * so a reference costs a few direct-indexed loads and no hashing. Two
+ * sentinels share the stamp slot: 0 means never touched (or evicted),
+ * kInvalidated a coherence tombstone. Renumbering is one pass over the
+ * table: a live stamp's new value is its rank among the live stamps,
+ * the prefix popcount of the live bitmap (OrderStatSet::rank).
+ *
+ * memoryBytes() is an accounting model, not a measurement: 48 B per
+ * touched line (a hash-map node, the same constant the list profiler
+ * charges, so exact-vs-exact comparisons isolate the index structure),
+ * plus the order-statistic set, plus a fixed object size. It predates
+ * the line table and is kept numerically unchanged because every
+ * report's profiler_bytes field carries it.
  */
 
 #ifndef WSG_MEMSYS_TREE_STACK_DISTANCE_HH
 #define WSG_MEMSYS_TREE_STACK_DISTANCE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "memsys/line_table.hh"
 #include "memsys/order_stat_set.hh"
 #include "memsys/profiler.hh"
 
@@ -48,22 +62,32 @@ class TreeStackDistanceProfiler : public Profiler
     bool
     tracks(Addr line) const override
     {
-        return last_.count(line) != 0;
+        const std::int64_t *stamp = stamps_.find(line);
+        return stamp && *stamp != 0;
     }
 
     std::uint64_t liveLines() const override { return live_.size(); }
 
-    std::uint64_t
-    touchedLines() const override
-    {
-        return static_cast<std::uint64_t>(last_.size());
-    }
+    std::uint64_t touchedLines() const override { return touched_; }
 
     void clear() override;
 
     std::uint64_t memoryBytes() const override;
 
+    /** Bytes the stamp table really holds (pages + interior nodes),
+     *  as opposed to the memoryBytes() accounting model. */
+    std::uint64_t tableBytes() const { return stamps_.residentBytes(); }
+
   private:
+    /** The fixed term of memoryBytes(): the object size the model was
+     *  calibrated on (vptr + hash map + OrderStatSet + clock, 144 B
+     *  under libstdc++), held constant so reports do not drift. */
+    static constexpr std::uint64_t kAccountedObjectBytes = 144;
+    /** Per-touched-line term of memoryBytes(). */
+    static constexpr std::uint64_t kAccountedLineBytes = 48;
+
+    /** Stamp sentinel of a line invalidated since its last access;
+     *  0 marks a line never touched. */
     static constexpr std::int64_t kInvalidated = -1;
     /** Never renumber below this span: tiny footprints would otherwise
      *  renumber constantly for a few KB of bitmap. */
@@ -78,8 +102,11 @@ class TreeStackDistanceProfiler : public Profiler
      *  rebuild the set densely; distances are invariant under this. */
     void renumber();
 
-    /** addr -> timestamp of latest access, or kInvalidated tombstone. */
-    std::unordered_map<Addr, std::int64_t> last_;
+    /** line -> timestamp of latest access, kInvalidated tombstone, or
+     *  0 (never touched). */
+    LineTable<std::int64_t> stamps_;
+    /** Lines with a non-zero stamp (live or tombstoned). */
+    std::uint64_t touched_ = 0;
     /** Timestamps of live (non-tombstoned) lines. */
     OrderStatSet live_;
     /** Last timestamp handed out; strictly increasing between

@@ -94,26 +94,33 @@ Multiprocessor::access(const MemRef &ref)
         throw std::out_of_range(
             "Multiprocessor::access: pid exceeds configured processor "
             "count");
-    Addr ref_last = ref.addr + std::max(ref.bytes, 1u) - 1;
-    Addr first = memsys::lineAlign(ref.addr, config_.lineBytes);
-    Addr last = memsys::lineAlign(ref_last, config_.lineBytes);
+    Addr span = std::max(ref.bytes, 1u) - 1;
+    if (ref.addr > ~Addr{0} - span)
+        throw std::out_of_range(
+            "Multiprocessor::access: reference runs past the end of the "
+            "64-bit address space");
+    Addr ref_last = ref.addr + span;
     // Caches and profilers operate on line *numbers* so set-indexed
     // organizations see dense indices regardless of the line size.
-    for (Addr line = first; line <= last; line += config_.lineBytes) {
+    // Counting lines (not stepping a byte address) keeps the last line
+    // of the address space from wrapping around to 0.
+    Addr first = ref.addr / config_.lineBytes;
+    Addr count = ref_last / config_.lineBytes - first + 1;
+    for (Addr line = first; count > 0; ++line, --count) {
         // Bitmap of the 8-byte words this access covers within the
         // line, for the true/false-sharing split. Lines of 8 bytes or
         // less are a single word; lines wider than 512 B clamp to
         // 64-word granularity.
-        Addr lo = std::max(ref.addr, line);
-        Addr hi = std::min(ref_last, line + config_.lineBytes - 1);
-        std::uint64_t lo_w = std::min<std::uint64_t>((lo - line) / 8, 63);
-        std::uint64_t hi_w = std::min<std::uint64_t>((hi - line) / 8, 63);
+        Addr base = line * config_.lineBytes;
+        Addr lo = std::max(ref.addr, base);
+        Addr hi = std::min(ref_last, base + (config_.lineBytes - 1));
+        std::uint64_t lo_w = std::min<std::uint64_t>((lo - base) / 8, 63);
+        std::uint64_t hi_w = std::min<std::uint64_t>((hi - base) / 8, 63);
         std::uint64_t words =
             (hi_w - lo_w == 63)
                 ? ~std::uint64_t{0}
                 : ((std::uint64_t{1} << (hi_w - lo_w + 1)) - 1) << lo_w;
-        accessLine(ref.pid, line / config_.lineBytes, ref.isWrite(),
-                   words, lo);
+        accessLine(ref.pid, line, ref.isWrite(), words, lo);
     }
 }
 
@@ -142,7 +149,7 @@ Multiprocessor::accessLine(ProcId pid, Addr line, bool is_write,
     bool was_invalidated = (entry.pendingProcs & self) != 0;
     std::uint64_t invalidated_words = 0;
     if (was_invalidated) {
-        auto it = pendingWords_.find(line * 64 + pid);
+        auto it = pendingWords_.find(PendingKey{line, pid});
         invalidated_words = it->second;
         pendingWords_.erase(it);
         entry.pendingProcs &= ~self;
@@ -174,7 +181,7 @@ Multiprocessor::accessLine(ProcId pid, Addr line, bool is_write,
             unsigned p =
                 static_cast<unsigned>(std::countr_zero(it_mask));
             it_mask &= it_mask - 1;
-            pendingWords_[line * 64 + p] |= words;
+            pendingWords_[PendingKey{line, p}] |= words;
         }
         entry.pendingProcs = stale;
     } else if (actions.invalidateMask != 0) {
@@ -186,7 +193,7 @@ Multiprocessor::accessLine(ProcId pid, Addr line, bool is_write,
             unsigned p =
                 static_cast<unsigned>(std::countr_zero(it_mask));
             it_mask &= it_mask - 1;
-            pendingWords_.try_emplace(line * 64 + p, 0);
+            pendingWords_.try_emplace(PendingKey{line, p}, 0);
         }
         entry.pendingProcs |= actions.invalidateMask;
     }
@@ -308,11 +315,20 @@ Multiprocessor::arraySlot(Addr byte_addr)
 {
     if (!space_ || !measuring_)
         return nullptr;
-    std::ptrdiff_t idx = space_->findSegmentIndex(byte_addr);
-    if (idx < 0)
-        return &unmappedStats_;
+    // Segments never overlap, so the last segment hit is the answer
+    // whenever it contains the address; most references stay inside
+    // one array for long runs.
+    const auto &segments = space_->segments();
+    std::ptrdiff_t idx = lastSegment_;
+    if (idx < 0 ||
+        !segments[static_cast<std::size_t>(idx)].contains(byte_addr)) {
+        idx = space_->findSegmentIndex(byte_addr);
+        if (idx < 0)
+            return &unmappedStats_;
+        lastSegment_ = idx;
+    }
     if (static_cast<std::size_t>(idx) >= arrayStats_.size())
-        arrayStats_.resize(space_->segments().size());
+        arrayStats_.resize(segments.size());
     return &arrayStats_[static_cast<std::size_t>(idx)];
 }
 

@@ -46,6 +46,17 @@
  * by the effective rate (approx::ApproxCurve), accurate to a few
  * percent at rates around 1% and byte-deterministic at any worker
  * count because admission depends only on line addresses.
+ *
+ * State layout: the directory is a memsys::LineTable of entries indexed
+ * by line number, as are the tree profilers' stamps, so a simulated line
+ * access does direct-indexed loads and no hashing. Dense address-space
+ * lines and raw-trace addresses anywhere in the 64-bit space share that
+ * one table. Only the pending-word masks stay in a hash map: entries
+ * exist just for lines between an invalidation and the victim's return,
+ * a small fraction of references. Array attribution first checks the
+ * segment hit last (segments never overlap) and only then searches.
+ * A reference whose last byte would pass 2^64 - 1 is rejected with
+ * std::out_of_range, like an out-of-range pid.
  */
 
 #ifndef WSG_SIM_MULTIPROCESSOR_HH
@@ -64,6 +75,7 @@
 #include "approx/sampling.hh"
 #include "memsys/cache.hh"
 #include "memsys/hierarchy.hh"
+#include "memsys/line_table.hh"
 #include "memsys/profiler.hh"
 #include "memsys/stack_distance.hh"
 #include "sim/coherence.hh"
@@ -300,6 +312,7 @@ class Multiprocessor : public trace::MemorySink
     attachAddressSpace(const trace::SharedAddressSpace *space)
     {
         space_ = space;
+        lastSegment_ = -1;
     }
 
     const SimConfig &config() const { return config_; }
@@ -465,10 +478,29 @@ class Multiprocessor : public trace::MemorySink
         /** Last writer + 1; 0 = never written through the simulator. */
         std::uint32_t writerPlusOne = 0;
     };
-    std::unordered_map<Addr, DirEntry> directory_;
+    /** Indexed by line number; untouched lines read as a zero entry. */
+    memsys::LineTable<DirEntry> directory_;
+    /** (line, pid) key of pendingWords_. The hash is line * 64 + pid,
+     *  which wraps for lines at or above 2^58; the full key keeps such
+     *  lines apart. */
+    struct PendingKey
+    {
+        Addr line;
+        ProcId pid;
+
+        bool operator==(const PendingKey &) const = default;
+    };
+    struct PendingKeyHash
+    {
+        std::size_t
+        operator()(const PendingKey &key) const noexcept
+        {
+            return std::hash<std::uint64_t>{}(key.line * 64 + key.pid);
+        }
+    };
     /**
      * Words written (by anyone else) to a line since a given processor
-     * was invalidated off it, keyed by line * 64 + pid; created by the
+     * was invalidated off it, keyed by (line, pid); created by the
      * invalidation, accumulated by subsequent writes, and claimed —
      * erased — by that processor's next access, where a non-empty
      * intersection with the accessed words makes the coherence miss
@@ -476,13 +508,16 @@ class Multiprocessor : public trace::MemorySink
      * entries only exist for lines in the invalidated-but-not-yet-
      * reread state.
      */
-    std::unordered_map<std::uint64_t, std::uint64_t> pendingWords_;
+    std::unordered_map<PendingKey, std::uint64_t, PendingKeyHash>
+        pendingWords_;
 
     /** Attribution state (attachAddressSpace). */
     const trace::SharedAddressSpace *space_ = nullptr;
     /** One slot per segment, indexed like space_->segments(); names are
      *  filled in lazily by arraySummaries(). */
     std::vector<SharingSummary> arrayStats_;
+    /** Index of the segment arraySlot resolved last, or -1. */
+    std::ptrdiff_t lastSegment_ = -1;
     /** Measured references outside every segment. */
     SharingSummary unmappedStats_;
 };

@@ -14,6 +14,8 @@
 #include "approx/approx_curve.hh"
 #include "approx/sampled_stack_distance.hh"
 #include "approx/sampling.hh"
+#include "memsys/line_table.hh"
+#include "memsys/tree_stack_distance.hh"
 #include "sim/multiprocessor.hh"
 
 using namespace wsg;
@@ -162,6 +164,39 @@ TEST(SampledProfiler, FixedSizeRespectsBudgetAndLowersRate)
     for (Addr line = 0; line < footprint; ++line)
         exact.access(line);
     EXPECT_LT(prof.memoryBytes(), exact.memoryBytes() / 10);
+}
+
+TEST(SampledProfiler, FixedSizeLineTableStaysWithinTrackedPages)
+{
+    // Sampled lines are hash-scattered, so each tracked line may hold a
+    // page of its own; evicted lines must hand their pages back. Over a
+    // footprint of 128x the budget (two sweeps, so eviction churn runs
+    // throughout), the stamp table's resident bytes, interior nodes
+    // included, must stay within tracked lines x page bytes.
+    const std::uint64_t budget = 2048;
+    const std::uint64_t footprint = 128 * budget;
+    SampledStackDistanceProfiler prof(fixedSize(budget));
+    const auto &tree =
+        dynamic_cast<const memsys::TreeStackDistanceProfiler &>(
+            prof.inner());
+    const std::uint64_t page_bytes =
+        sizeof(memsys::LineTable<std::int64_t>::Page);
+    for (int pass = 0; pass < 2; ++pass) {
+        for (Addr line = 0; line < footprint; ++line) {
+            prof.access(line);
+            if (line % 4096 == 4095) {
+                ASSERT_LE(tree.tableBytes(),
+                          prof.trackedLines() * page_bytes)
+                    << "pass " << pass << " line " << line;
+            }
+        }
+    }
+    EXPECT_GT(prof.trackedLines(), budget / 2);
+    EXPECT_LE(tree.tableBytes(), prof.trackedLines() * page_bytes);
+    RecordProperty("tracked_lines",
+                   std::to_string(prof.trackedLines()));
+    RecordProperty("table_bytes", std::to_string(tree.tableBytes()));
+    RecordProperty("page_bytes", std::to_string(page_bytes));
 }
 
 TEST(SampledProfiler, FixedSizeEvictedLinesComeBackCold)

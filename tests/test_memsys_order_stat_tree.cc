@@ -4,7 +4,8 @@
  * behind the TreeMattson profiler: every operation is validated against
  * a naive sorted-vector oracle over seeded randomized operation
  * sequences, plus directed edge cases (range boundaries, erase of
- * absent keys, gapped inserts, clear/reuse).
+ * absent keys, gapped inserts, clear/reuse). rank() is checked beside
+ * countGreater() at every probe.
  */
 
 #include <algorithm>
@@ -42,6 +43,13 @@ class NaiveOrderStatSet
     {
         auto it = std::upper_bound(keys_.begin(), keys_.end(), key);
         return static_cast<std::uint64_t>(keys_.end() - it);
+    }
+
+    std::uint64_t
+    rank(std::uint64_t key) const
+    {
+        auto it = std::upper_bound(keys_.begin(), keys_.end(), key);
+        return static_cast<std::uint64_t>(it - keys_.begin());
     }
 
     bool
@@ -107,6 +115,8 @@ runRandomizedSequence(std::uint64_t seed, std::uint64_t key_stride,
             ASSERT_EQ(set.countGreater(key), oracle.countGreater(key))
                 << "seed " << seed << " op " << op << " probe " << key;
             ASSERT_EQ(set.contains(key), oracle.contains(key))
+                << "seed " << seed << " op " << op << " probe " << key;
+            ASSERT_EQ(set.rank(key), oracle.rank(key))
                 << "seed " << seed << " op " << op << " probe " << key;
         }
     }
@@ -178,8 +188,10 @@ TEST(OrderStatSet, GroupBoundaryRanks)
     const std::uint64_t n = OrderStatSet::kGroupSize + 1;
     for (std::uint64_t k = 1; k <= n; ++k)
         set.insertMax(k);
-    for (std::uint64_t k = 1; k <= n; ++k)
+    for (std::uint64_t k = 1; k <= n; ++k) {
         EXPECT_EQ(set.countGreater(k), n - k) << "key " << k;
+        EXPECT_EQ(set.rank(k), k) << "key " << k;
+    }
     // Erase the group-boundary keys and re-check the ranks around them.
     EXPECT_TRUE(set.erase(OrderStatSet::kGroupSize));
     EXPECT_TRUE(set.erase(OrderStatSet::kGroupSize + 1));

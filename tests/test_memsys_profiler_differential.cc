@@ -4,8 +4,9 @@
  * tree-Mattson profiler must be BYTE-IDENTICAL to the legacy
  * list-Mattson profiler — every sample classification, every distance,
  * every derived curve — on synthetic reference streams (random, looped,
- * invalidation-heavy, eviction-heavy, and a renumbering-triggering long
- * stream) and on all nine application studies at 1, 2, 4 and 8 runner
+ * invalidation-heavy, eviction-heavy, a renumbering-triggering long
+ * stream, and sparse lines across the 64-bit space checked against the
+ * naive oracle) and on all nine application studies at 1, 2, 4 and 8 runner
  * workers. Also the batched-ingestion property: accessBatch must equal
  * one-at-a-time ingestion for every construction at any batch size, and
  * BatchingSink must forward a sink stream unchanged.
@@ -68,6 +69,86 @@ makeStream(std::uint64_t seed, std::size_t n, std::uint64_t num_lines,
         ops.push_back(op);
     }
     return ops;
+}
+
+/**
+ * Seeded stream over @p num_lines distinct lines scattered across the
+ * whole 64-bit line space: clusters near 0, 2^32, 2^50, 2^63 and the
+ * very top (the shape of raw traces with heap, stack and mapped
+ * regions), plus lines drawn uniformly from all 64 bits.
+ */
+std::vector<Op>
+makeSparseStream(std::uint64_t seed, std::size_t n, std::size_t num_lines,
+                 int invalidate_pct, int evict_pct)
+{
+    std::mt19937_64 rng(seed);
+    const Addr top = ~Addr{0};
+    const std::vector<Addr> bases = {0, Addr{1} << 32, Addr{1} << 50,
+                                     Addr{1} << 63, top - 4096};
+    std::vector<Addr> pool;
+    pool.reserve(num_lines);
+    for (std::size_t i = 0; i < num_lines; ++i)
+        pool.push_back(i % 4 == 3 ? rng()
+                                  : bases[rng() % bases.size()] +
+                                        rng() % 4096);
+    pool.push_back(top);
+    std::vector<Op> ops;
+    ops.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        Op op;
+        int dice = static_cast<int>(rng() % 100);
+        if (dice < invalidate_pct)
+            op.kind = Op::Invalidate;
+        else if (dice < invalidate_pct + evict_pct)
+            op.kind = Op::Evict;
+        op.line = pool[rng() % pool.size()];
+        ops.push_back(op);
+    }
+    return ops;
+}
+
+/** Apply @p ops to the list, tree and naive profilers in lockstep; the
+ *  O(live)-per-access naive stack is the oracle for both. */
+void
+expectThreeWayAgreement(const std::vector<Op> &ops)
+{
+    memsys::StackDistanceProfiler list;
+    memsys::TreeStackDistanceProfiler tree;
+    memsys::NaiveStackProfiler naive;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const Op &op = ops[i];
+        switch (op.kind) {
+          case Op::Access: {
+            DistanceSample sl = list.access(op.line);
+            DistanceSample st = tree.access(op.line);
+            DistanceSample sn = naive.access(op.line);
+            ASSERT_EQ(sn.kind, sl.kind) << "op " << i;
+            ASSERT_EQ(sn.kind, st.kind) << "op " << i;
+            if (sn.kind == RefClass::Finite) {
+                ASSERT_EQ(sn.distance, sl.distance) << "op " << i;
+                ASSERT_EQ(sn.distance, st.distance) << "op " << i;
+            }
+            break;
+          }
+          case Op::Invalidate: {
+            bool rn = naive.invalidate(op.line);
+            ASSERT_EQ(rn, list.invalidate(op.line)) << "op " << i;
+            ASSERT_EQ(rn, tree.invalidate(op.line)) << "op " << i;
+            break;
+          }
+          case Op::Evict: {
+            bool rn = naive.evict(op.line);
+            ASSERT_EQ(rn, list.evict(op.line)) << "op " << i;
+            ASSERT_EQ(rn, tree.evict(op.line)) << "op " << i;
+            break;
+          }
+        }
+        ASSERT_EQ(naive.liveLines(), list.liveLines()) << "op " << i;
+        ASSERT_EQ(naive.liveLines(), tree.liveLines()) << "op " << i;
+        ASSERT_EQ(list.tracks(op.line), tree.tracks(op.line))
+            << "op " << i;
+    }
+    EXPECT_EQ(list.touchedLines(), tree.touchedLines());
 }
 
 /** Apply @p ops to two Profiler implementations in lockstep, requiring
@@ -277,40 +358,50 @@ TEST(ProfilerDifferential, NaiveOracleAgreesWithBoth)
 {
     // The O(n)-per-access explicit-stack oracle closes the loop: list
     // and tree agreeing is not enough if both shared a bug.
-    auto ops = makeStream(11, 2000, 150, false, 10, 10);
-    memsys::StackDistanceProfiler list;
+    expectThreeWayAgreement(makeStream(11, 2000, 150, false, 10, 10));
+}
+
+TEST(ProfilerDifferential, SparseSixtyFourBitLinesAgreeWithOracle)
+{
+    // Raw traces may carry any address: lines from clusters across the
+    // 64-bit space and up to 2^64 - 1 must profile exactly as dense
+    // ones, through the line table's tallest radix paths.
+    expectThreeWayAgreement(makeSparseStream(14, 20000, 300, 10, 10));
+}
+
+TEST(ProfilerDifferential, SparseStreamCrossesRenumberingWithOracle)
+{
+    // 260k operations over ~500 live lines: the stamp span passes
+    // kMinRenumberSpan (64k) about every 64k accesses, so invalidate and
+    // evict interleavings straddle several renumbering points, each of
+    // which rewrites every live stamp in the sparse table.
+    expectThreeWayAgreement(makeSparseStream(15, 260000, 500, 4, 4));
+}
+
+/**
+ * profiler_bytes lands in every study report, so its accounting model
+ * is pinned: the exact memoryBytes() of a tree profiler after a fixed
+ * stream that crosses three renumbering points. A change here changes
+ * report bytes; it must be deliberate.
+ */
+TEST(ProfilerDifferential, TreeMemoryBytesArePinned)
+{
+    auto ops = makeStream(21, 250000, 1200, false, 5, 5);
     memsys::TreeStackDistanceProfiler tree;
-    memsys::NaiveStackProfiler naive;
-    for (const Op &op : ops) {
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const Op &op = ops[i];
         switch (op.kind) {
-          case Op::Access: {
-            DistanceSample sl = list.access(op.line);
-            DistanceSample st = tree.access(op.line);
-            DistanceSample sn = naive.access(op.line);
-            ASSERT_EQ(sn.kind, sl.kind);
-            ASSERT_EQ(sn.kind, st.kind);
-            if (sn.kind == RefClass::Finite) {
-                ASSERT_EQ(sn.distance, sl.distance);
-                ASSERT_EQ(sn.distance, st.distance);
-            }
-            break;
-          }
-          case Op::Invalidate: {
-            bool rn = naive.invalidate(op.line);
-            ASSERT_EQ(rn, list.invalidate(op.line));
-            ASSERT_EQ(rn, tree.invalidate(op.line));
-            break;
-          }
-          case Op::Evict: {
-            bool rn = naive.evict(op.line);
-            ASSERT_EQ(rn, list.evict(op.line));
-            ASSERT_EQ(rn, tree.evict(op.line));
-            break;
-          }
+          case Op::Access: tree.access(op.line); break;
+          case Op::Invalidate: tree.invalidate(op.line); break;
+          case Op::Evict: tree.evict(op.line); break;
         }
-        ASSERT_EQ(naive.liveLines(), list.liveLines());
-        ASSERT_EQ(naive.liveLines(), tree.liveLines());
+        if (i == 999) {
+            EXPECT_EQ(tree.memoryBytes(), 30024u);
+        }
     }
+    EXPECT_EQ(tree.touchedLines(), 1145u);
+    EXPECT_EQ(tree.liveLines(), 1090u);
+    EXPECT_EQ(tree.memoryBytes(), 75656u);
 }
 
 /**

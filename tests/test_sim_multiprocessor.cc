@@ -60,6 +60,61 @@ TEST(Multiprocessor, WideAccessSplitsIntoLines)
     EXPECT_EQ(mp.procStats(0).reads, 6u);
 }
 
+TEST(Multiprocessor, LastLineOfTheAddressSpaceTerminates)
+{
+    // The last line of the 64-bit space used to hang: stepping the line
+    // address by lineBytes wrapped to 0. ctest's timeout catches a
+    // regression.
+    const Addr top = ~Addr{0};
+    for (std::uint32_t line_bytes : {1u, 8u, 64u, 256u}) {
+        Multiprocessor mp({2, line_bytes});
+        mp.access(MemRef{top - 7, 8, 0, wsg::trace::RefType::Write});
+        mp.access(MemRef{top, 1, 1, wsg::trace::RefType::Read});
+        mp.access(MemRef{top, 0, 1, wsg::trace::RefType::Read});
+        std::uint64_t lines = line_bytes >= 8 ? 1 : 8 / line_bytes;
+        EXPECT_EQ(mp.procStats(0).writes, lines) << line_bytes << " B";
+        EXPECT_EQ(mp.procStats(1).reads, 2u) << line_bytes << " B";
+        // P1's first touch of a line P0 wrote is communication.
+        EXPECT_EQ(mp.procStats(1).readCoherence, 1u) << line_bytes << " B";
+    }
+}
+
+TEST(Multiprocessor, ReferencePastTheEndOfTheAddressSpaceThrows)
+{
+    // addr + bytes - 1 overflowing used to drop the reference silently;
+    // it is malformed input and is rejected like an out-of-range pid.
+    Multiprocessor mp({1, 8});
+    const Addr top = ~Addr{0};
+    EXPECT_THROW(mp.access(MemRef{top - 6, 8, 0}), std::out_of_range);
+    EXPECT_THROW(mp.access(MemRef{top, 2, 0}), std::out_of_range);
+    EXPECT_EQ(mp.procStats(0).reads, 0u);
+    // The largest in-range reference still works.
+    mp.access(MemRef{top - 15, 16, 0});
+    EXPECT_EQ(mp.procStats(0).reads, 2u);
+}
+
+TEST(Multiprocessor, HighLinesKeepSeparatePendingWords)
+{
+    // Lines 2^58 apart alias under a line * 64 + pid key. Each must keep
+    // its own pending-word mask: P1 returns to both, the line P0 wrote
+    // after invalidating P1 is true sharing, the other (invalidated by a
+    // write to a different word) false sharing.
+    Multiprocessor mp({2, 16});
+    const Addr a = Addr{16} << 4;
+    const Addr b = a + (Addr{16} << 58);
+    for (Addr base : {a, b}) {
+        mp.read(1, base, 8);
+        mp.read(0, base, 8);
+    }
+    mp.write(0, a, 8);     // invalidates P1 off a; P1 reads word 0
+    mp.write(0, b + 8, 8); // invalidates P1 off b; P1 reads word 0
+    mp.read(1, a, 8);
+    mp.read(1, b, 8);
+    EXPECT_EQ(mp.procStats(1).readCoherence, 2u);
+    EXPECT_EQ(mp.procStats(1).readTrueSharing, 1u);
+    EXPECT_EQ(mp.procStats(1).readFalseSharing, 1u);
+}
+
 TEST(Multiprocessor, ColdThenFiniteClassification)
 {
     Multiprocessor mp({1, 8});
