@@ -62,7 +62,8 @@ main()
             cfg.procCols = 4;
             core::StudyConfig sc;
             sc.minCacheBytes = 16;
-            core::StudyResult res = core::runLuStudy(cfg, sc);
+            core::StudyResult res =
+                core::runStudy(core::luStudyJob(cfg, sc));
             // The lev2WS knee: the first sharp (>= 3x) drop — the
             // later lev3/lev4 knees can have larger factors but sit at
             // partition scale.
@@ -91,7 +92,8 @@ main()
             cfg.dims = 2;
             cfg.procX = 2;
             cfg.procY = 2;
-            core::StudyResult res = core::runCgStudy(cfg, 2, 1);
+            core::StudyResult res =
+                core::runStudy(core::cgStudyJob(cfg, 2, 1));
             const auto *knee = dominantKnee(res);
             tab.addRow({std::to_string(n),
                         knee ? formatBytes(knee->sizeBytes) : "-",
@@ -115,7 +117,8 @@ main()
             cfg.seed = 7;
             core::StudyConfig sc;
             sc.pointsPerOctave = 6; // fine sweep near the knee
-            core::StudyResult res = core::runBarnesStudy(cfg, 2, 1, sc);
+            core::StudyResult res =
+                core::runStudy(core::barnesStudyJob(cfg, 2, 1, sc));
             const auto *knee = dominantKnee(res);
             model::BarnesModel m(
                 {static_cast<double>(n), 1.0, 4.0, 1.0});
@@ -145,8 +148,8 @@ main()
             render.numProcs = 4;
             core::StudyConfig sc;
             sc.minCacheBytes = 64;
-            core::StudyResult res =
-                core::runVolrendStudy(dims, render, 1, 1, sc);
+            core::StudyResult res = core::runStudy(
+                core::volrendStudyJob(dims, render, 1, 1, sc));
             // The middle knee (ray-to-ray reuse), if detected.
             std::string measured = "-";
             if (res.workingSets.size() >= 2)

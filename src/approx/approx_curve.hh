@@ -102,8 +102,8 @@ class ApproxCurve
      * missRate with a caller-computed sampled-miss numerator. The AET
      * construction maps capacity to a *per-processor* histogram
      * threshold (each processor's reuse-time model is its own), so its
-     * miss counts cannot be read off a merged histogram the way the
-     * Mattson kinds' can; the simulator sums per-processor counts and
+     * miss counts cannot be read off a merged histogram the way exact
+     * Mattson's can; the simulator sums per-processor counts and
      * feeds the total through here to share the denominator arithmetic.
      */
     double missRateFromMisses(const SampledCounts &counts,

@@ -1,7 +1,9 @@
 #include "core/runners.hh"
 
 #include <cmath>
+#include <concepts>
 #include <memory>
+#include <string_view>
 
 #include "core/watchdog.hh"
 #include "replay/scheduled_sink.hh"
@@ -11,11 +13,6 @@
 
 namespace wsg::core
 {
-
-// Every study is defined once, as a job body; the serial run*Study
-// entry points execute the same body inline with an empty context.
-// Job bodies capture their configuration by value so the StudyJob can
-// outlive the caller's locals (benches build job vectors up front).
 
 namespace
 {
@@ -142,72 +139,488 @@ class SinkChain
 // equal values always canonicalize to equal bytes.
 // ---------------------------------------------------------------------
 
-std::string
-canonicalDouble(double v)
+/** Capacity reserved for a canonical config: above the longest one
+ *  (volrend's, ~560 bytes), so it is built in a single allocation. */
+constexpr std::size_t kCanonicalReserve = 768;
+
+/** Append one canonical "key=value\n" line. */
+void
+appendLine(std::string &out, std::string_view key, std::string_view value)
 {
-    return stats::JsonWriter::formatDouble(v);
+    out += key;
+    out += '=';
+    out += value;
+    out += '\n';
 }
 
-std::string
-canonicalHeader(const char *app_kind)
+/** Integers and flags render in decimal (a flag as 1 or 0). */
+template <std::integral T>
+void
+appendLine(std::string &out, std::string_view key, T value)
 {
-    return std::string("wsg-study-config-v1\napp=") + app_kind + "\n";
+    appendLine(out, key, std::to_string(value));
+}
+
+/** Doubles render in the JSON writer's shortest round-trip form. */
+void
+appendLine(std::string &out, std::string_view key, double value)
+{
+    appendLine(out, key, stats::JsonWriter::formatDouble(value));
 }
 
 void
 appendStudyConfig(std::string &out, const StudyConfig &study,
                   std::uint32_t line_bytes)
 {
-    out += "line_bytes=" + std::to_string(line_bytes) + "\n";
-    out += "min_cache_bytes=" + std::to_string(study.minCacheBytes) +
-           "\n";
-    out += "max_cache_bytes=" + std::to_string(study.maxCacheBytes) +
-           "\n";
-    out += "points_per_octave=" +
-           std::to_string(study.pointsPerOctave) + "\n";
-    out += "include_cold=" +
-           std::to_string(study.includeCold ? 1 : 0) + "\n";
-    out += "knee_min_step_drop=" +
-           canonicalDouble(study.knee.minStepDrop) + "\n";
-    out += "knee_min_knee_factor=" +
-           canonicalDouble(study.knee.minKneeFactor) + "\n";
-    out += "knee_rate_floor=" + canonicalDouble(study.knee.rateFloor) +
-           "\n";
-    out += "analyze_races=" +
-           std::to_string(study.analyzeRaces ? 1 : 0) + "\n";
-    out += std::string("profiler=") +
-           memsys::profilerKindName(study.profiler) + "\n";
-    out += std::string("sampling_mode=") +
-           approx::samplingModeName(study.sampling.mode) + "\n";
+    appendLine(out, "line_bytes", line_bytes);
+    appendLine(out, "min_cache_bytes", study.minCacheBytes);
+    appendLine(out, "max_cache_bytes", study.maxCacheBytes);
+    appendLine(out, "points_per_octave", study.pointsPerOctave);
+    appendLine(out, "include_cold", study.includeCold);
+    appendLine(out, "knee_min_step_drop", study.knee.minStepDrop);
+    appendLine(out, "knee_min_knee_factor", study.knee.minKneeFactor);
+    appendLine(out, "knee_rate_floor", study.knee.rateFloor);
+    appendLine(out, "analyze_races", study.analyzeRaces);
+    appendLine(out, "profiler", memsys::profilerKindName(study.profiler));
+    appendLine(out, "sampling_mode",
+               approx::samplingModeName(study.sampling.mode));
     if (study.sampling.mode == approx::SamplingMode::FixedRate)
-        out += "sampling_rate=" + canonicalDouble(study.sampling.rate) +
-               "\n";
+        appendLine(out, "sampling_rate", study.sampling.rate);
     if (study.sampling.mode == approx::SamplingMode::FixedSize)
-        out += "sampling_max_lines=" +
-               std::to_string(study.sampling.maxLines) + "\n";
+        appendLine(out, "sampling_max_lines", study.sampling.maxLines);
     if (study.sampling.enabled())
-        out += "sampling_hash_salt=" +
-               std::to_string(study.sampling.hashSalt) + "\n";
+        appendLine(out, "sampling_hash_salt", study.sampling.hashSalt);
     // The machine axes are appended only when off their defaults so
     // every pre-existing study config — and therefore every content
     // hash, cache entry and campaign resume key — keeps its bytes.
     if (study.protocol != sim::CoherenceProtocol::WriteInvalidate)
-        out += std::string("protocol=") +
-               sim::coherenceProtocolName(study.protocol) + "\n";
+        appendLine(out, "protocol",
+                   sim::coherenceProtocolName(study.protocol));
     if (study.hierarchy.twoLevel())
-        out += "hierarchy=" + memsys::hierarchyLabel(study.hierarchy) +
-               "\n";
+        appendLine(out, "hierarchy", memsys::hierarchyLabel(study.hierarchy));
     if (study.scheduler.kind != replay::SchedulerKind::Static) {
-        out += std::string("scheduler=") +
-               replay::schedulerKindName(study.scheduler.kind) + "\n";
+        appendLine(out, "scheduler",
+                   replay::schedulerKindName(study.scheduler.kind));
         if (study.scheduler.kind == replay::SchedulerKind::WorkStealing) {
-            out += "steal_rate=" +
-                   canonicalDouble(study.scheduler.stealRate) + "\n";
-            out += "steal_seed=" +
-                   std::to_string(study.scheduler.stealSeed) + "\n";
+            appendLine(out, "steal_rate", study.scheduler.stealRate);
+            appendLine(out, "steal_seed", study.scheduler.stealSeed);
         }
     }
 }
+
+/** Fields most traits share: the app type and its config, the step
+ *  counts, and the misses-per-flop metric. */
+template <typename AppT, typename ConfigT>
+struct AppTrait
+{
+    using App = AppT;
+    static constexpr Metric kMetric = Metric::MissesPerFlop;
+    /** Canonical key of the step count ("iters", "transforms", ...);
+     *  null for the one-shot factorizations, which have none. */
+    static constexpr const char *kStepKey = nullptr;
+    ConfigT config;
+    std::uint32_t steps = 1;
+    std::uint32_t warmup = 0;
+
+    static void init(App &) {}
+};
+
+/** Run @p n steps of @p app: one Trait::run(app, n) call where the
+ *  step count is a loop bound inside the app (CG), else n calls of
+ *  Trait::step(app). */
+template <typename Trait>
+void
+runSteps(typename Trait::App &app, std::uint32_t n)
+{
+    if constexpr (requires { Trait::run(app, n); }) {
+        Trait::run(app, n);
+    } else {
+        for (std::uint32_t i = 0; i < n; ++i)
+            Trait::step(app);
+    }
+}
+
+/**
+ * The one study shape (Section 2.2): build the app against a fresh
+ * address space and sink chain, initialise it, run `warmup` steps
+ * unmeasured so cold-start misses stay out of the curve, run `steps`
+ * measured ones, and analyze the working sets. @p Trait (an AppTrait)
+ * supplies what differs between applications:
+ *
+ *  - kKind, name(), appendConfig() and kStepKey: the canonical `app=`
+ *    value, the job and report name, and the app's canonical-config
+ *    lines, which end with the step counts under kStepKey;
+ *  - numProcs(): the simulated processor count;
+ *  - App, constructed as App(config, space, sink), then init(App &);
+ *  - step(App &), or run(App &, n) for n steps in one call;
+ *  - kMetric: misses per flop divide by the flops of the measured
+ *    steps; a read miss rate carries no flop count.
+ *
+ * The body captures the trait by value so the StudyJob can outlive the
+ * caller's locals (benches build job vectors up front).
+ */
+template <typename Trait>
+StudyJob
+makeStudyJob(const Trait &trait, const StudyConfig &study,
+             std::uint32_t line_bytes)
+{
+    StudyJob job;
+    job.name = trait.name();
+    std::string &config = job.canonicalConfig;
+    config.reserve(kCanonicalReserve);
+    config += "wsg-study-config-v1\n";
+    appendLine(config, "app", Trait::kKind);
+    trait.appendConfig(config);
+    if constexpr (Trait::kStepKey != nullptr) {
+        appendLine(config, Trait::kStepKey, trait.steps);
+        config += "warmup_"; // then warmup_<key>=<warmup>
+        appendLine(config, Trait::kStepKey, trait.warmup);
+    }
+    appendStudyConfig(config, study, line_bytes);
+    job.body = [trait, study, line_bytes](const StudyContext &ctx) {
+        trace::SharedAddressSpace space;
+        sim::Multiprocessor mp(
+            simConfigFor(trait.numProcs(), line_bytes, study));
+        mp.attachAddressSpace(&space);
+        SinkChain chain(mp, space, study);
+        typename Trait::App app(trait.config, space, chain.sink());
+        Trait::init(app);
+
+        chain.setMeasuring(false);
+        runSteps<Trait>(app, trait.warmup);
+        std::uint64_t flops = 0;
+        if constexpr (Trait::kMetric == Metric::MissesPerFlop)
+            flops = app.flops().totalFlops();
+        chain.setMeasuring(true);
+        runSteps<Trait>(app, trait.steps);
+        if constexpr (Trait::kMetric == Metric::MissesPerFlop)
+            flops = app.flops().totalFlops() - flops;
+
+        chain.checkDeadline();
+        return chain.finish(analyzeWorkingSets(
+            mp, study, Trait::kMetric, flops, trait.name(), ctx.pool));
+    };
+    return job;
+}
+
+// ---------------------------------------------------------------------
+// Per-app traits.
+// ---------------------------------------------------------------------
+
+/** LU and Cholesky: blocked factorizations of one n x n matrix on a
+ *  procRows x procCols grid. One-shot: no warm-up and one measured
+ *  step, the AppTrait defaults. */
+template <typename AppT>
+struct FactorTrait : AppTrait<AppT, apps::lu::LuConfig>
+{
+    void
+    appendConfig(std::string &out) const
+    {
+        appendLine(out, "n", this->config.n);
+        appendLine(out, "block_size", this->config.blockSize);
+        appendLine(out, "proc_rows", this->config.procRows);
+        appendLine(out, "proc_cols", this->config.procCols);
+    }
+
+    std::uint32_t numProcs() const { return this->config.numProcs(); }
+    static void step(AppT &app) { app.factor(); }
+};
+
+struct LuTrait : FactorTrait<apps::lu::BlockedLu>
+{
+    static constexpr const char *kKind = "lu";
+
+    std::string
+    name() const
+    {
+        return "LU n=" + std::to_string(config.n) +
+               " B=" + std::to_string(config.blockSize);
+    }
+
+    static void init(App &app) { app.randomize(1234); }
+};
+
+struct CholeskyTrait : FactorTrait<apps::lu::BlockedCholesky>
+{
+    static constexpr const char *kKind = "cholesky";
+
+    std::string
+    name() const
+    {
+        return "Cholesky n=" + std::to_string(config.n) +
+               " B=" + std::to_string(config.blockSize);
+    }
+
+    static void init(App &app) { app.randomizeSpd(1234); }
+};
+
+struct CgTrait : AppTrait<apps::cg::GridCg, apps::cg::CgConfig>
+{
+    static constexpr const char *kKind = "cg";
+    static constexpr const char *kStepKey = "iters";
+
+    std::string
+    name() const
+    {
+        return "CG " + std::to_string(config.dims) +
+               "-D n=" + std::to_string(config.n);
+    }
+
+    void
+    appendConfig(std::string &out) const
+    {
+        appendLine(out, "n", config.n);
+        appendLine(out, "dims", config.dims);
+        appendLine(out, "proc_x", config.procX);
+        appendLine(out, "proc_y", config.procY);
+        appendLine(out, "proc_z", config.procZ);
+        appendLine(out, "strip_width", config.stripWidth);
+    }
+
+    std::uint32_t numProcs() const { return config.numProcs(); }
+    static void init(App &app) { app.buildSystem(); }
+    static void run(App &app, std::uint32_t n) { app.run(n, 0.0); }
+};
+
+struct UnstructuredTrait
+    : AppTrait<apps::cg::UnstructuredCg, apps::cg::UnstructuredConfig>
+{
+    static constexpr const char *kKind = "ucg";
+    static constexpr const char *kStepKey = "iters";
+
+    std::string
+    name() const
+    {
+        return "UnstructuredCG n=" + std::to_string(config.numVertices);
+    }
+
+    void
+    appendConfig(std::string &out) const
+    {
+        appendLine(out, "num_vertices", config.numVertices);
+        appendLine(out, "neighbors", config.neighbors);
+        appendLine(out, "num_procs", config.numProcs);
+        appendLine(out, "partition", static_cast<int>(config.partition));
+        appendLine(out, "seed", config.seed);
+    }
+
+    std::uint32_t numProcs() const { return config.numProcs; }
+    static void init(App &app) { app.buildSystem(); }
+    static void run(App &app, std::uint32_t n) { app.run(n, 0.0); }
+};
+
+struct FftTrait : AppTrait<apps::fft::ParallelFft, apps::fft::FftConfig>
+{
+    static constexpr const char *kKind = "fft";
+    static constexpr const char *kStepKey = "transforms";
+
+    std::string
+    name() const
+    {
+        return "FFT logN=" + std::to_string(config.logN) +
+               " r=" + std::to_string(config.internalRadix);
+    }
+
+    void
+    appendConfig(std::string &out) const
+    {
+        appendLine(out, "log_n", config.logN);
+        appendLine(out, "num_procs", config.numProcs);
+        appendLine(out, "internal_radix", config.internalRadix);
+    }
+
+    std::uint32_t numProcs() const { return config.numProcs; }
+
+    static void
+    init(App &app)
+    {
+        for (std::uint64_t i = 0; i < app.config().N(); ++i)
+            app.setInput(i, {std::sin(0.001 * static_cast<double>(i)),
+                             std::cos(0.003 * static_cast<double>(i))});
+    }
+
+    static void step(App &app) { app.forward(); }
+};
+
+struct Fft2dTrait : AppTrait<apps::fft::Fft2d, apps::fft::Fft2dConfig>
+{
+    static constexpr const char *kKind = "fft2d";
+    static constexpr const char *kStepKey = "transforms";
+
+    std::string
+    name() const
+    {
+        return "FFT2D " + std::to_string(config.rows()) + "x" +
+               std::to_string(config.cols());
+    }
+
+    void
+    appendConfig(std::string &out) const
+    {
+        appendLine(out, "log_rows", config.logRows);
+        appendLine(out, "log_cols", config.logCols);
+        appendLine(out, "num_procs", config.numProcs);
+        appendLine(out, "internal_radix", config.internalRadix);
+    }
+
+    std::uint32_t numProcs() const { return config.numProcs; }
+
+    static void
+    init(App &app)
+    {
+        const apps::fft::Fft2dConfig &c = app.config();
+        for (std::uint64_t r = 0; r < c.rows(); ++r) {
+            for (std::uint64_t col = 0; col < c.cols(); ++col) {
+                double t = 0.001 * static_cast<double>(r * c.cols() + col);
+                app.setInput(r, col, {std::sin(t), std::cos(3.0 * t)});
+            }
+        }
+    }
+
+    static void step(App &app) { app.forward(); }
+};
+
+struct Fft3dTrait : AppTrait<apps::fft::Fft3d, apps::fft::Fft3dConfig>
+{
+    static constexpr const char *kKind = "fft3d";
+    static constexpr const char *kStepKey = "transforms";
+
+    std::string
+    name() const
+    {
+        return "FFT3D " + std::to_string(config.n0()) + "x" +
+               std::to_string(config.n1()) + "x" +
+               std::to_string(config.n2());
+    }
+
+    void
+    appendConfig(std::string &out) const
+    {
+        appendLine(out, "log0", config.log0);
+        appendLine(out, "log1", config.log1);
+        appendLine(out, "log2", config.log2);
+        appendLine(out, "num_procs", config.numProcs);
+        appendLine(out, "internal_radix", config.internalRadix);
+    }
+
+    std::uint32_t numProcs() const { return config.numProcs; }
+
+    static void
+    init(App &app)
+    {
+        const apps::fft::Fft3dConfig &c = app.config();
+        std::uint64_t flat = 0;
+        for (std::uint64_t i0 = 0; i0 < c.n0(); ++i0) {
+            for (std::uint64_t i1 = 0; i1 < c.n1(); ++i1) {
+                for (std::uint64_t i2 = 0; i2 < c.n2(); ++i2, ++flat) {
+                    double t = 0.001 * static_cast<double>(flat);
+                    app.setInput(i0, i1, i2,
+                                 {std::sin(t), std::cos(3.0 * t)});
+                }
+            }
+        }
+    }
+
+    static void step(App &app) { app.forward(); }
+};
+
+struct BarnesTrait
+    : AppTrait<apps::barnes::BarnesHut, apps::barnes::BarnesConfig>
+{
+    static constexpr const char *kKind = "barnes";
+    static constexpr const char *kStepKey = "steps";
+    static constexpr Metric kMetric = Metric::ReadMissRate;
+
+    std::string
+    name() const
+    {
+        return "Barnes-Hut n=" + std::to_string(config.numBodies) +
+               " theta=" + std::to_string(config.theta).substr(0, 4);
+    }
+
+    void
+    appendConfig(std::string &out) const
+    {
+        appendLine(out, "num_bodies", config.numBodies);
+        appendLine(out, "num_procs", config.numProcs);
+        appendLine(out, "theta", config.theta);
+        appendLine(out, "dt", config.dt);
+        appendLine(out, "softening", config.softening);
+        appendLine(out, "quadrupole", config.quadrupole);
+        appendLine(out, "seed", config.seed);
+    }
+
+    std::uint32_t numProcs() const { return config.numProcs; }
+    static void init(App &app) { app.initPlummer(); }
+    static void step(App &app) { app.step(); }
+};
+
+/** Volume rendering's configuration: the volume and the renderer. */
+struct VolrendConfig
+{
+    apps::volrend::VolumeDims dims;
+    apps::volrend::RenderConfig render;
+};
+
+/** The phantom head volume and its renderer. The renderer is built on
+ *  the finished volume and octree: allocation order fixes the
+ *  simulated addresses. */
+struct VolrendApp
+{
+    VolrendApp(const VolrendConfig &config,
+               trace::SharedAddressSpace &space, trace::MemorySink *sink)
+        : volume(config.dims, space, sink),
+          renderer(config.render, withHead(volume), space, sink)
+    {
+    }
+
+    static apps::volrend::Volume &
+    withHead(apps::volrend::Volume &volume)
+    {
+        volume.buildHeadPhantom();
+        volume.buildOctree();
+        return volume;
+    }
+
+    apps::volrend::Volume volume;
+    apps::volrend::Renderer renderer;
+};
+
+struct VolrendTrait : AppTrait<VolrendApp, VolrendConfig>
+{
+    static constexpr const char *kKind = "volrend";
+    static constexpr const char *kStepKey = "frames";
+    static constexpr Metric kMetric = Metric::ReadMissRate;
+
+    std::string
+    name() const
+    {
+        return "Volrend " + std::to_string(config.dims.nx) + "^3";
+    }
+
+    void
+    appendConfig(std::string &out) const
+    {
+        const apps::volrend::RenderConfig &r = config.render;
+        appendLine(out, "nx", config.dims.nx);
+        appendLine(out, "ny", config.dims.ny);
+        appendLine(out, "nz", config.dims.nz);
+        appendLine(out, "image_width", r.imageWidth);
+        appendLine(out, "image_height", r.imageHeight);
+        appendLine(out, "num_procs", r.numProcs);
+        appendLine(out, "degrees_per_frame", r.degreesPerFrame);
+        appendLine(out, "sample_step", r.sampleStep);
+        appendLine(out, "opacity_cutoff", r.opacityCutoff);
+        appendLine(out, "density_floor", r.densityFloor);
+        appendLine(out, "steal_chunk", r.stealChunk);
+        appendLine(out, "use_octree", r.useOctree);
+        appendLine(out, "perspective", r.perspective);
+        appendLine(out, "fov_degrees", r.fovDegrees);
+    }
+
+    std::uint32_t numProcs() const { return config.render.numProcs; }
+    static void step(App &app) { app.renderer.renderFrame(); }
+};
 
 } // namespace
 
@@ -215,33 +628,14 @@ StudyJob
 luStudyJob(const apps::lu::LuConfig &app_config,
            const StudyConfig &study, std::uint32_t line_bytes)
 {
-    StudyJob job;
-    job.name = "LU n=" + std::to_string(app_config.n) +
-               " B=" + std::to_string(app_config.blockSize);
-    job.canonicalConfig =
-        canonicalHeader("lu") + "n=" + std::to_string(app_config.n) +
-        "\nblock_size=" + std::to_string(app_config.blockSize) +
-        "\nproc_rows=" + std::to_string(app_config.procRows) +
-        "\nproc_cols=" + std::to_string(app_config.procCols) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs(), line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::lu::BlockedLu app(app_config, space, chain.sink());
-        app.randomize(1234);
-        app.factor();
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop, app.flops().totalFlops(),
-            "LU n=" + std::to_string(app_config.n) +
-                " B=" + std::to_string(app_config.blockSize),
-            ctx.pool));
-    };
-    return job;
+    return makeStudyJob(LuTrait{{{app_config}}}, study, line_bytes);
+}
+
+StudyJob
+choleskyStudyJob(const apps::lu::LuConfig &app_config,
+                 const StudyConfig &study, std::uint32_t line_bytes)
+{
+    return makeStudyJob(CholeskyTrait{{{app_config}}}, study, line_bytes);
 }
 
 StudyJob
@@ -249,44 +643,17 @@ cgStudyJob(const apps::cg::CgConfig &app_config, std::uint32_t iters,
            std::uint32_t warmup_iters, const StudyConfig &study,
            std::uint32_t line_bytes)
 {
-    StudyJob job;
-    job.name = "CG " + std::to_string(app_config.dims) +
-               "-D n=" + std::to_string(app_config.n);
-    job.canonicalConfig =
-        canonicalHeader("cg") + "n=" + std::to_string(app_config.n) +
-        "\ndims=" + std::to_string(app_config.dims) +
-        "\nproc_x=" + std::to_string(app_config.procX) +
-        "\nproc_y=" + std::to_string(app_config.procY) +
-        "\nproc_z=" + std::to_string(app_config.procZ) +
-        "\nstrip_width=" + std::to_string(app_config.stripWidth) +
-        "\niters=" + std::to_string(iters) +
-        "\nwarmup_iters=" + std::to_string(warmup_iters) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, iters, warmup_iters, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs(), line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::cg::GridCg app(app_config, space, chain.sink());
-        app.buildSystem();
+    return makeStudyJob(CgTrait{{app_config, iters, warmup_iters}}, study,
+                        line_bytes);
+}
 
-        chain.setMeasuring(false);
-        app.run(warmup_iters, 0.0);
-        std::uint64_t warm_flops = app.flops().totalFlops();
-        chain.setMeasuring(true);
-        app.run(iters, 0.0);
-
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "CG " + std::to_string(app_config.dims) +
-                "-D n=" + std::to_string(app_config.n),
-            ctx.pool));
-    };
-    return job;
+StudyJob
+unstructuredStudyJob(const apps::cg::UnstructuredConfig &app_config,
+                     std::uint32_t iters, std::uint32_t warmup_iters,
+                     const StudyConfig &study, std::uint32_t line_bytes)
+{
+    return makeStudyJob(UnstructuredTrait{{app_config, iters, warmup_iters}},
+                        study, line_bytes);
 }
 
 StudyJob
@@ -294,46 +661,29 @@ fftStudyJob(const apps::fft::FftConfig &app_config,
             std::uint32_t transforms, std::uint32_t warmup_transforms,
             const StudyConfig &study, std::uint32_t line_bytes)
 {
-    StudyJob job;
-    job.name = "FFT logN=" + std::to_string(app_config.logN) +
-               " r=" + std::to_string(app_config.internalRadix);
-    job.canonicalConfig =
-        canonicalHeader("fft") + "log_n=" +
-        std::to_string(app_config.logN) + "\nnum_procs=" +
-        std::to_string(app_config.numProcs) + "\ninternal_radix=" +
-        std::to_string(app_config.internalRadix) + "\ntransforms=" +
-        std::to_string(transforms) + "\nwarmup_transforms=" +
-        std::to_string(warmup_transforms) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::fft::ParallelFft app(app_config, space, chain.sink());
-        for (std::uint64_t i = 0; i < app_config.N(); ++i)
-            app.setInput(i, {std::sin(0.001 * static_cast<double>(i)),
-                             std::cos(0.003 * static_cast<double>(i))});
+    return makeStudyJob(
+        FftTrait{{app_config, transforms, warmup_transforms}}, study,
+        line_bytes);
+}
 
-        chain.setMeasuring(false);
-        for (std::uint32_t t = 0; t < warmup_transforms; ++t)
-            app.forward();
-        std::uint64_t warm_flops = app.flops().totalFlops();
-        chain.setMeasuring(true);
-        for (std::uint32_t t = 0; t < transforms; ++t)
-            app.forward();
+StudyJob
+fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
+              std::uint32_t transforms, std::uint32_t warmup_transforms,
+              const StudyConfig &study, std::uint32_t line_bytes)
+{
+    return makeStudyJob(
+        Fft2dTrait{{app_config, transforms, warmup_transforms}}, study,
+        line_bytes);
+}
 
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "FFT logN=" + std::to_string(app_config.logN) +
-                " r=" + std::to_string(app_config.internalRadix),
-            ctx.pool));
-    };
-    return job;
+StudyJob
+fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
+              std::uint32_t transforms, std::uint32_t warmup_transforms,
+              const StudyConfig &study, std::uint32_t line_bytes)
+{
+    return makeStudyJob(
+        Fft3dTrait{{app_config, transforms, warmup_transforms}}, study,
+        line_bytes);
 }
 
 StudyJob
@@ -341,47 +691,8 @@ barnesStudyJob(const apps::barnes::BarnesConfig &app_config,
                std::uint32_t steps, std::uint32_t warmup_steps,
                const StudyConfig &study, std::uint32_t line_bytes)
 {
-    StudyJob job;
-    job.name = "Barnes-Hut n=" + std::to_string(app_config.numBodies) +
-               " theta=" + std::to_string(app_config.theta).substr(0, 4);
-    job.canonicalConfig =
-        canonicalHeader("barnes") + "num_bodies=" +
-        std::to_string(app_config.numBodies) + "\nnum_procs=" +
-        std::to_string(app_config.numProcs) + "\ntheta=" +
-        canonicalDouble(app_config.theta) + "\ndt=" +
-        canonicalDouble(app_config.dt) + "\nsoftening=" +
-        canonicalDouble(app_config.softening) + "\nquadrupole=" +
-        std::to_string(app_config.quadrupole ? 1 : 0) + "\nseed=" +
-        std::to_string(app_config.seed) + "\nsteps=" +
-        std::to_string(steps) + "\nwarmup_steps=" +
-        std::to_string(warmup_steps) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, steps, warmup_steps, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::barnes::BarnesHut app(app_config, space, chain.sink());
-        app.initPlummer();
-
-        chain.setMeasuring(false);
-        for (std::uint32_t s = 0; s < warmup_steps; ++s)
-            app.step();
-        chain.setMeasuring(true);
-        for (std::uint32_t s = 0; s < steps; ++s)
-            app.step();
-
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::ReadMissRate, 0,
-            "Barnes-Hut n=" + std::to_string(app_config.numBodies) +
-                " theta=" +
-                std::to_string(app_config.theta).substr(0, 4),
-            ctx.pool));
-    };
-    return job;
+    return makeStudyJob(BarnesTrait{{app_config, steps, warmup_steps}},
+                        study, line_bytes);
 }
 
 StudyJob
@@ -390,327 +701,15 @@ volrendStudyJob(const apps::volrend::VolumeDims &dims,
                 std::uint32_t frames, std::uint32_t warmup_frames,
                 const StudyConfig &study, std::uint32_t line_bytes)
 {
-    StudyJob job;
-    job.name = "Volrend " + std::to_string(dims.nx) + "^3";
-    job.canonicalConfig =
-        canonicalHeader("volrend") + "nx=" + std::to_string(dims.nx) +
-        "\nny=" + std::to_string(dims.ny) + "\nnz=" +
-        std::to_string(dims.nz) + "\nimage_width=" +
-        std::to_string(render.imageWidth) + "\nimage_height=" +
-        std::to_string(render.imageHeight) + "\nnum_procs=" +
-        std::to_string(render.numProcs) + "\ndegrees_per_frame=" +
-        canonicalDouble(render.degreesPerFrame) + "\nsample_step=" +
-        canonicalDouble(render.sampleStep) + "\nopacity_cutoff=" +
-        canonicalDouble(render.opacityCutoff) + "\ndensity_floor=" +
-        std::to_string(render.densityFloor) + "\nsteal_chunk=" +
-        std::to_string(render.stealChunk) + "\nuse_octree=" +
-        std::to_string(render.useOctree ? 1 : 0) + "\nperspective=" +
-        std::to_string(render.perspective ? 1 : 0) + "\nfov_degrees=" +
-        canonicalDouble(render.fovDegrees) + "\nframes=" +
-        std::to_string(frames) + "\nwarmup_frames=" +
-        std::to_string(warmup_frames) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [dims, render, frames, warmup_frames, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(render.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::volrend::Volume vol(dims, space, chain.sink());
-        vol.buildHeadPhantom();
-        vol.buildOctree();
-        apps::volrend::Renderer renderer(render, vol, space,
-                                         chain.sink());
-
-        chain.setMeasuring(false);
-        for (std::uint32_t f = 0; f < warmup_frames; ++f)
-            renderer.renderFrame();
-        chain.setMeasuring(true);
-        for (std::uint32_t f = 0; f < frames; ++f)
-            renderer.renderFrame();
-
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::ReadMissRate, 0,
-            "Volrend " + std::to_string(dims.nx) + "^3", ctx.pool));
-    };
-    return job;
-}
-
-StudyJob
-choleskyStudyJob(const apps::lu::LuConfig &app_config,
-                 const StudyConfig &study, std::uint32_t line_bytes)
-{
-    StudyJob job;
-    job.name = "Cholesky n=" + std::to_string(app_config.n) +
-               " B=" + std::to_string(app_config.blockSize);
-    job.canonicalConfig =
-        canonicalHeader("cholesky") + "n=" +
-        std::to_string(app_config.n) + "\nblock_size=" +
-        std::to_string(app_config.blockSize) + "\nproc_rows=" +
-        std::to_string(app_config.procRows) + "\nproc_cols=" +
-        std::to_string(app_config.procCols) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs(), line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::lu::BlockedCholesky app(app_config, space, chain.sink());
-        app.randomizeSpd(1234);
-        app.factor();
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop, app.flops().totalFlops(),
-            "Cholesky n=" + std::to_string(app_config.n) +
-                " B=" + std::to_string(app_config.blockSize),
-            ctx.pool));
-    };
-    return job;
-}
-
-StudyJob
-unstructuredStudyJob(const apps::cg::UnstructuredConfig &app_config,
-                     std::uint32_t iters, std::uint32_t warmup_iters,
-                     const StudyConfig &study, std::uint32_t line_bytes)
-{
-    StudyJob job;
-    job.name = "UnstructuredCG n=" +
-               std::to_string(app_config.numVertices);
-    job.canonicalConfig =
-        canonicalHeader("ucg") + "num_vertices=" +
-        std::to_string(app_config.numVertices) + "\nneighbors=" +
-        std::to_string(app_config.neighbors) + "\nnum_procs=" +
-        std::to_string(app_config.numProcs) + "\npartition=" +
-        std::to_string(static_cast<int>(app_config.partition)) +
-        "\nseed=" + std::to_string(app_config.seed) + "\niters=" +
-        std::to_string(iters) + "\nwarmup_iters=" +
-        std::to_string(warmup_iters) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, iters, warmup_iters, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::cg::UnstructuredCg app(app_config, space, chain.sink());
-        app.buildSystem();
-
-        chain.setMeasuring(false);
-        app.run(warmup_iters, 0.0);
-        std::uint64_t warm_flops = app.flops().totalFlops();
-        chain.setMeasuring(true);
-        app.run(iters, 0.0);
-
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "UnstructuredCG n=" +
-                std::to_string(app_config.numVertices),
-            ctx.pool));
-    };
-    return job;
-}
-
-StudyJob
-fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
-              std::uint32_t transforms, std::uint32_t warmup_transforms,
-              const StudyConfig &study, std::uint32_t line_bytes)
-{
-    StudyJob job;
-    job.name = "FFT2D " + std::to_string(app_config.rows()) + "x" +
-               std::to_string(app_config.cols());
-    job.canonicalConfig =
-        canonicalHeader("fft2d") + "log_rows=" +
-        std::to_string(app_config.logRows) + "\nlog_cols=" +
-        std::to_string(app_config.logCols) + "\nnum_procs=" +
-        std::to_string(app_config.numProcs) + "\ninternal_radix=" +
-        std::to_string(app_config.internalRadix) + "\ntransforms=" +
-        std::to_string(transforms) + "\nwarmup_transforms=" +
-        std::to_string(warmup_transforms) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::fft::Fft2d app(app_config, space, chain.sink());
-        for (std::uint64_t r = 0; r < app_config.rows(); ++r) {
-            for (std::uint64_t c = 0; c < app_config.cols(); ++c) {
-                double t = 0.001 * static_cast<double>(
-                                       r * app_config.cols() + c);
-                app.setInput(r, c, {std::sin(t), std::cos(3.0 * t)});
-            }
-        }
-
-        chain.setMeasuring(false);
-        for (std::uint32_t t = 0; t < warmup_transforms; ++t)
-            app.forward();
-        std::uint64_t warm_flops = app.flops().totalFlops();
-        chain.setMeasuring(true);
-        for (std::uint32_t t = 0; t < transforms; ++t)
-            app.forward();
-
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "FFT2D " + std::to_string(app_config.rows()) + "x" +
-                std::to_string(app_config.cols()),
-            ctx.pool));
-    };
-    return job;
-}
-
-StudyJob
-fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
-              std::uint32_t transforms, std::uint32_t warmup_transforms,
-              const StudyConfig &study, std::uint32_t line_bytes)
-{
-    StudyJob job;
-    job.name = "FFT3D " + std::to_string(app_config.n0()) + "x" +
-               std::to_string(app_config.n1()) + "x" +
-               std::to_string(app_config.n2());
-    job.canonicalConfig =
-        canonicalHeader("fft3d") + "log0=" +
-        std::to_string(app_config.log0) + "\nlog1=" +
-        std::to_string(app_config.log1) + "\nlog2=" +
-        std::to_string(app_config.log2) + "\nnum_procs=" +
-        std::to_string(app_config.numProcs) + "\ninternal_radix=" +
-        std::to_string(app_config.internalRadix) + "\ntransforms=" +
-        std::to_string(transforms) + "\nwarmup_transforms=" +
-        std::to_string(warmup_transforms) + "\n";
-    appendStudyConfig(job.canonicalConfig, study, line_bytes);
-    job.body = [app_config, transforms, warmup_transforms, study,
-                line_bytes](const StudyContext &ctx) {
-        trace::SharedAddressSpace space;
-        sim::Multiprocessor mp(
-            simConfigFor(app_config.numProcs, line_bytes, study));
-        mp.attachAddressSpace(&space);
-        SinkChain chain(mp, space, study);
-        apps::fft::Fft3d app(app_config, space, chain.sink());
-        std::uint64_t flat = 0;
-        for (std::uint64_t i0 = 0; i0 < app_config.n0(); ++i0) {
-            for (std::uint64_t i1 = 0; i1 < app_config.n1(); ++i1) {
-                for (std::uint64_t i2 = 0; i2 < app_config.n2();
-                     ++i2, ++flat) {
-                    double t = 0.001 * static_cast<double>(flat);
-                    app.setInput(i0, i1, i2,
-                                 {std::sin(t), std::cos(3.0 * t)});
-                }
-            }
-        }
-
-        chain.setMeasuring(false);
-        for (std::uint32_t t = 0; t < warmup_transforms; ++t)
-            app.forward();
-        std::uint64_t warm_flops = app.flops().totalFlops();
-        chain.setMeasuring(true);
-        for (std::uint32_t t = 0; t < transforms; ++t)
-            app.forward();
-
-        chain.checkDeadline();
-        return chain.finish(analyzeWorkingSets(
-            mp, study, Metric::MissesPerFlop,
-            app.flops().totalFlops() - warm_flops,
-            "FFT3D " + std::to_string(app_config.n0()) + "x" +
-                std::to_string(app_config.n1()) + "x" +
-                std::to_string(app_config.n2()),
-            ctx.pool));
-    };
-    return job;
+    return makeStudyJob(
+        VolrendTrait{{{dims, render}, frames, warmup_frames}}, study,
+        line_bytes);
 }
 
 StudyResult
-runLuStudy(const apps::lu::LuConfig &app_config, const StudyConfig &study,
-           std::uint32_t line_bytes)
+runStudy(const StudyJob &job)
 {
-    return luStudyJob(app_config, study, line_bytes).body(StudyContext{});
-}
-
-StudyResult
-runCholeskyStudy(const apps::lu::LuConfig &app_config,
-                 const StudyConfig &study, std::uint32_t line_bytes)
-{
-    return choleskyStudyJob(app_config, study, line_bytes)
-        .body(StudyContext{});
-}
-
-StudyResult
-runUnstructuredStudy(const apps::cg::UnstructuredConfig &app_config,
-                     std::uint32_t iters, std::uint32_t warmup_iters,
-                     const StudyConfig &study, std::uint32_t line_bytes)
-{
-    return unstructuredStudyJob(app_config, iters, warmup_iters, study,
-                                line_bytes)
-        .body(StudyContext{});
-}
-
-StudyResult
-runFft2dStudy(const apps::fft::Fft2dConfig &app_config,
-              std::uint32_t transforms, std::uint32_t warmup_transforms,
-              const StudyConfig &study, std::uint32_t line_bytes)
-{
-    return fft2dStudyJob(app_config, transforms, warmup_transforms,
-                         study, line_bytes)
-        .body(StudyContext{});
-}
-
-StudyResult
-runFft3dStudy(const apps::fft::Fft3dConfig &app_config,
-              std::uint32_t transforms, std::uint32_t warmup_transforms,
-              const StudyConfig &study, std::uint32_t line_bytes)
-{
-    return fft3dStudyJob(app_config, transforms, warmup_transforms,
-                         study, line_bytes)
-        .body(StudyContext{});
-}
-
-StudyResult
-runCgStudy(const apps::cg::CgConfig &app_config, std::uint32_t iters,
-           std::uint32_t warmup_iters, const StudyConfig &study,
-           std::uint32_t line_bytes)
-{
-    return cgStudyJob(app_config, iters, warmup_iters, study, line_bytes)
-        .body(StudyContext{});
-}
-
-StudyResult
-runFftStudy(const apps::fft::FftConfig &app_config,
-            std::uint32_t transforms, std::uint32_t warmup_transforms,
-            const StudyConfig &study, std::uint32_t line_bytes)
-{
-    return fftStudyJob(app_config, transforms, warmup_transforms, study,
-                       line_bytes)
-        .body(StudyContext{});
-}
-
-StudyResult
-runBarnesStudy(const apps::barnes::BarnesConfig &app_config,
-               std::uint32_t steps, std::uint32_t warmup_steps,
-               const StudyConfig &study, std::uint32_t line_bytes)
-{
-    return barnesStudyJob(app_config, steps, warmup_steps, study,
-                          line_bytes)
-        .body(StudyContext{});
-}
-
-StudyResult
-runVolrendStudy(const apps::volrend::VolumeDims &dims,
-                const apps::volrend::RenderConfig &render,
-                std::uint32_t frames, std::uint32_t warmup_frames,
-                const StudyConfig &study, std::uint32_t line_bytes)
-{
-    return volrendStudyJob(dims, render, frames, warmup_frames, study,
-                           line_bytes)
-        .body(StudyContext{});
+    return job.body(StudyContext{});
 }
 
 } // namespace wsg::core

@@ -5,11 +5,13 @@
  * the working sets. Shared by the figure benches, the integration tests
  * and the examples.
  *
- * Each study exists in two forms: a `*StudyJob` factory producing a
- * schedulable StudyJob for the parallel StudyRunner, and a serial
- * `run*Study` wrapper that executes the identical job body inline.
- * Because both forms share one code path, the runner's determinism
- * guarantee (parallel == serial, byte for byte) is structural.
+ * Each application has one `*StudyJob` factory producing a schedulable
+ * StudyJob for the parallel StudyRunner; runStudy() executes a job's
+ * body inline. All nine factories instantiate one study template over
+ * a per-app trait (core/runners.cc), so every study has the same shape
+ * — build, initialise, unmeasured warm-up steps, measured steps,
+ * analysis — and the runner's determinism guarantee (parallel ==
+ * serial, byte for byte) is structural.
  */
 
 #ifndef WSG_CORE_RUNNERS_HH
@@ -34,36 +36,41 @@ namespace wsg::core
 {
 
 /**
- * Schedulable form of runLuStudy: the job builds its own address space,
- * Multiprocessor and application, so any number of instances can run
- * concurrently.
+ * A blocked LU factorization, analyzed as misses/FLOP. LU is a one-shot
+ * computation; cold misses are excluded in the curve. Like every
+ * factory here, the job builds its own address space, Multiprocessor
+ * and application, so any number of instances can run concurrently.
  */
 StudyJob luStudyJob(const apps::lu::LuConfig &app_config,
                     const StudyConfig &study = {},
                     std::uint32_t line_bytes = 8);
 
-/** Schedulable form of runCgStudy. */
+/** Grid CG for @p warmup_iters + @p iters iterations; only the last
+ *  @p iters are measured (cold-start exclusion). */
 StudyJob cgStudyJob(const apps::cg::CgConfig &app_config,
                     std::uint32_t iters = 3,
                     std::uint32_t warmup_iters = 1,
                     const StudyConfig &study = {},
                     std::uint32_t line_bytes = 8);
 
-/** Schedulable form of runFftStudy. */
+/** @p warmup_transforms + @p transforms forward FFTs; only the last
+ *  @p transforms are measured. */
 StudyJob fftStudyJob(const apps::fft::FftConfig &app_config,
                      std::uint32_t transforms = 1,
                      std::uint32_t warmup_transforms = 1,
                      const StudyConfig &study = {},
                      std::uint32_t line_bytes = 8);
 
-/** Schedulable form of runBarnesStudy. */
+/** Barnes-Hut for @p warmup_steps + @p steps time-steps; only the last
+ *  @p steps are measured. Metric: read miss rate. */
 StudyJob barnesStudyJob(const apps::barnes::BarnesConfig &app_config,
                         std::uint32_t steps = 2,
                         std::uint32_t warmup_steps = 1,
                         const StudyConfig &study = {},
                         std::uint32_t line_bytes = 32);
 
-/** Schedulable form of runVolrendStudy. */
+/** @p warmup_frames + @p frames frames of the phantom head; only the
+ *  last @p frames are measured. Metric: read miss rate. */
 StudyJob volrendStudyJob(const apps::volrend::VolumeDims &dims,
                          const apps::volrend::RenderConfig &render,
                          std::uint32_t frames = 2,
@@ -71,107 +78,36 @@ StudyJob volrendStudyJob(const apps::volrend::VolumeDims &dims,
                          const StudyConfig &study = {},
                          std::uint32_t line_bytes = 16);
 
-/** Schedulable form of runCholeskyStudy. */
+/** A blocked Cholesky factorization; misses/FLOP, like LU. */
 StudyJob choleskyStudyJob(const apps::lu::LuConfig &app_config,
                           const StudyConfig &study = {},
                           std::uint32_t line_bytes = 8);
 
-/** Schedulable form of runUnstructuredStudy. */
+/** Unstructured CG on the k-NN mesh; warm-up iterations excluded as
+ *  in the grid solver. */
 StudyJob unstructuredStudyJob(
     const apps::cg::UnstructuredConfig &app_config,
     std::uint32_t iters = 3, std::uint32_t warmup_iters = 1,
     const StudyConfig &study = {}, std::uint32_t line_bytes = 8);
 
-/** Schedulable form of runFft2dStudy. */
+/** @p warmup_transforms + @p transforms forward 2-D FFTs; only the
+ *  last @p transforms are measured. */
 StudyJob fft2dStudyJob(const apps::fft::Fft2dConfig &app_config,
                        std::uint32_t transforms = 1,
                        std::uint32_t warmup_transforms = 1,
                        const StudyConfig &study = {},
                        std::uint32_t line_bytes = 8);
 
-/** Schedulable form of runFft3dStudy. */
+/** @p warmup_transforms + @p transforms forward 3-D FFTs; only the
+ *  last @p transforms are measured. */
 StudyJob fft3dStudyJob(const apps::fft::Fft3dConfig &app_config,
                        std::uint32_t transforms = 1,
                        std::uint32_t warmup_transforms = 1,
                        const StudyConfig &study = {},
                        std::uint32_t line_bytes = 8);
 
-/**
- * Run a blocked LU factorization and analyze misses/FLOP.
- * LU is a one-shot computation; cold misses are excluded in the curve.
- */
-StudyResult runLuStudy(const apps::lu::LuConfig &app_config,
-                       const StudyConfig &study = {},
-                       std::uint32_t line_bytes = 8);
-
-/**
- * Run grid CG for @p warmup_iters + @p iters iterations; only the last
- * @p iters are measured (cold-start exclusion).
- */
-StudyResult runCgStudy(const apps::cg::CgConfig &app_config,
-                       std::uint32_t iters = 3,
-                       std::uint32_t warmup_iters = 1,
-                       const StudyConfig &study = {},
-                       std::uint32_t line_bytes = 8);
-
-/**
- * Run @p warmup_transforms + @p transforms forward FFTs; only the last
- * @p transforms are measured.
- */
-StudyResult runFftStudy(const apps::fft::FftConfig &app_config,
-                        std::uint32_t transforms = 1,
-                        std::uint32_t warmup_transforms = 1,
-                        const StudyConfig &study = {},
-                        std::uint32_t line_bytes = 8);
-
-/**
- * Run Barnes-Hut for @p warmup_steps + @p steps time-steps; only the
- * last @p steps are measured. Metric: read miss rate.
- */
-StudyResult runBarnesStudy(const apps::barnes::BarnesConfig &app_config,
-                           std::uint32_t steps = 2,
-                           std::uint32_t warmup_steps = 1,
-                           const StudyConfig &study = {},
-                           std::uint32_t line_bytes = 32);
-
-/**
- * Render @p warmup_frames + @p frames frames of the phantom head; only
- * the last @p frames are measured. Metric: read miss rate.
- */
-StudyResult runVolrendStudy(const apps::volrend::VolumeDims &dims,
-                            const apps::volrend::RenderConfig &render,
-                            std::uint32_t frames = 2,
-                            std::uint32_t warmup_frames = 1,
-                            const StudyConfig &study = {},
-                            std::uint32_t line_bytes = 16);
-
-/** Run a blocked Cholesky factorization; misses/FLOP, like LU. */
-StudyResult runCholeskyStudy(const apps::lu::LuConfig &app_config,
-                             const StudyConfig &study = {},
-                             std::uint32_t line_bytes = 8);
-
-/** Run unstructured CG on the k-NN mesh; warm-up iterations excluded
- *  as in the grid solver. */
-StudyResult runUnstructuredStudy(
-    const apps::cg::UnstructuredConfig &app_config,
-    std::uint32_t iters = 3, std::uint32_t warmup_iters = 1,
-    const StudyConfig &study = {}, std::uint32_t line_bytes = 8);
-
-/** Run @p warmup_transforms + @p transforms forward 2-D FFTs; only the
- *  last @p transforms are measured. */
-StudyResult runFft2dStudy(const apps::fft::Fft2dConfig &app_config,
-                          std::uint32_t transforms = 1,
-                          std::uint32_t warmup_transforms = 1,
-                          const StudyConfig &study = {},
-                          std::uint32_t line_bytes = 8);
-
-/** Run @p warmup_transforms + @p transforms forward 3-D FFTs; only the
- *  last @p transforms are measured. */
-StudyResult runFft3dStudy(const apps::fft::Fft3dConfig &app_config,
-                          std::uint32_t transforms = 1,
-                          std::uint32_t warmup_transforms = 1,
-                          const StudyConfig &study = {},
-                          std::uint32_t line_bytes = 8);
+/** Run @p job serially on the calling thread (no pool). */
+StudyResult runStudy(const StudyJob &job);
 
 } // namespace wsg::core
 

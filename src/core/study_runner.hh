@@ -230,10 +230,10 @@ struct RunnerCli
     double timeoutSeconds = 0.0;
     /**
      * --profiler KIND: which miss-rate-curve construction the studies
-     * run (list-mattson | tree-mattson | aet, with "list"/"tree"
-     * accepted as short forms). Benches copy this into
-     * StudyConfig::profiler. AET combined with a sampling flag is
-     * rejected.
+     * run (tree-mattson | aet, with "tree" accepted as a short form;
+     * the removed "list-mattson" is rejected with a pointer to
+     * tree-mattson). Benches copy this into StudyConfig::profiler. AET
+     * combined with a sampling flag is rejected.
      */
     memsys::ProfilerKind profiler = memsys::ProfilerKind::TreeMattson;
     /**

@@ -48,31 +48,14 @@ sized(ProblemSize size, T small, T base, T large)
     return base;
 }
 
+/** LU with block size @p B (Figure 2 runs 4, 16 and 64). */
+template <std::uint32_t B>
 StudyJob
-makeLu(std::uint32_t B, const StudyConfig &study, ProblemSize size,
-       std::uint32_t line_bytes)
+makeLu(const StudyConfig &study, ProblemSize size, std::uint32_t line_bytes)
 {
     apps::lu::LuConfig cfg = presets::simLu(B);
     cfg.n = sized<std::uint32_t>(size, 128, 256, 384);
     return luStudyJob(cfg, study, line_bytes);
-}
-
-StudyJob
-makeLuB4(const StudyConfig &s, ProblemSize size, std::uint32_t line)
-{
-    return makeLu(4, s, size, line);
-}
-
-StudyJob
-makeLuB16(const StudyConfig &s, ProblemSize size, std::uint32_t line)
-{
-    return makeLu(16, s, size, line);
-}
-
-StudyJob
-makeLuB64(const StudyConfig &s, ProblemSize size, std::uint32_t line)
-{
-    return makeLu(64, s, size, line);
 }
 
 StudyJob
@@ -91,31 +74,14 @@ makeCg3d(const StudyConfig &s, ProblemSize size, std::uint32_t line)
     return cgStudyJob(cfg, 3, 1, s, line);
 }
 
+/** FFT with internal radix @p R (Figure 5 runs 2, 8 and 32). */
+template <std::uint32_t R>
 StudyJob
-makeFft(std::uint32_t radix, const StudyConfig &study, ProblemSize size,
-        std::uint32_t line_bytes)
+makeFft(const StudyConfig &study, ProblemSize size, std::uint32_t line_bytes)
 {
-    apps::fft::FftConfig cfg = presets::simFft(radix);
+    apps::fft::FftConfig cfg = presets::simFft(R);
     cfg.logN = sized<std::uint32_t>(size, 12, 14, 16);
     return fftStudyJob(cfg, 1, 1, study, line_bytes);
-}
-
-StudyJob
-makeFftR2(const StudyConfig &s, ProblemSize size, std::uint32_t line)
-{
-    return makeFft(2, s, size, line);
-}
-
-StudyJob
-makeFftR8(const StudyConfig &s, ProblemSize size, std::uint32_t line)
-{
-    return makeFft(8, s, size, line);
-}
-
-StudyJob
-makeFftR32(const StudyConfig &s, ProblemSize size, std::uint32_t line)
-{
-    return makeFft(32, s, size, line);
 }
 
 StudyJob
@@ -173,14 +139,14 @@ makeFft3d(const StudyConfig &s, ProblemSize size, std::uint32_t line)
 }
 
 constexpr SuiteEntry kSuite[] = {
-    {"fig2-lu-B4", 16, 8, makeLuB4},
-    {"fig2-lu-B16", 16, 8, makeLuB16},
-    {"fig2-lu-B64", 16, 8, makeLuB64},
+    {"fig2-lu-B4", 16, 8, makeLu<4>},
+    {"fig2-lu-B16", 16, 8, makeLu<16>},
+    {"fig2-lu-B64", 16, 8, makeLu<64>},
     {"fig4-cg-2d", 16, 8, makeCg2d},
     {"fig4-cg-3d", 16, 8, makeCg3d},
-    {"fig5-fft-radix2", 16, 8, makeFftR2},
-    {"fig5-fft-radix8", 16, 8, makeFftR8},
-    {"fig5-fft-radix32", 16, 8, makeFftR32},
+    {"fig5-fft-radix2", 16, 8, makeFft<2>},
+    {"fig5-fft-radix8", 16, 8, makeFft<8>},
+    {"fig5-fft-radix32", 16, 8, makeFft<32>},
     {"fig6-barnes", 64, 32, makeBarnes},
     {"fig7-volrend", 64, 16, makeVolrend},
     {"app-cholesky", 16, 8, makeCholesky},
@@ -263,9 +229,20 @@ parseSuiteName(const std::string &name)
         }
         std::string key = segment.substr(0, eq);
         std::string value = segment.substr(eq + 1);
+        // A name is a cache and manifest key, so each variant has
+        // exactly one spelling: every key at most once, and line sizes
+        // as plain decimal digits without a leading zero.
+        if (name.find("@" + key + "=") != at) {
+            throw std::invalid_argument("repeated variant key '" + key +
+                                        "' in preset name '" + name +
+                                        "'");
+        }
         if (key == "size") {
             variant.size = parseProblemSize(value);
         } else if (key == "line") {
+            bool digits =
+                value[0] != '0' &&
+                value.find_first_not_of("0123456789") == std::string::npos;
             std::size_t pos = 0;
             unsigned long bytes = 0;
             try {
@@ -273,7 +250,7 @@ parseSuiteName(const std::string &name)
             } catch (const std::exception &) {
                 pos = 0;
             }
-            if (pos != value.size() || bytes == 0 ||
+            if (!digits || pos != value.size() || bytes == 0 ||
                 bytes > (1u << 20)) {
                 throw std::invalid_argument(
                     "variant line size must be a positive byte "

@@ -84,8 +84,10 @@ std::string suiteVariantName(const std::string &preset,
  * variant. Does not check that the preset itself exists (the job
  * factory does); the suffix grammar is validated here.
  *
- * @throws std::invalid_argument on a malformed suffix, an unknown
- *         suffix key, or an out-of-range value.
+ * @throws std::invalid_argument on a malformed suffix, an unknown or
+ *         repeated suffix key, an out-of-range value, or a line size
+ *         not spelled as plain digits without a leading zero (so that
+ *         every accepted name is already canonical).
  */
 std::pair<std::string, SuiteVariant>
 parseSuiteName(const std::string &name);

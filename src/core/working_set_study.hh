@@ -83,10 +83,9 @@ struct StudyConfig
     approx::SamplingConfig sampling{};
     /**
      * Which miss-rate-curve construction the simulator's profilers run
-     * (see memsys::ProfilerKind). The Mattson kinds are exact and
-     * bit-identical to each other; Aet approximates the finite-distance
-     * part of the curve at O(1) per reference and cannot be combined
-     * with sampling.
+     * (see memsys::ProfilerKind). TreeMattson is exact; Aet
+     * approximates the finite-distance part of the curve at O(1) per
+     * reference and cannot be combined with sampling.
      */
     memsys::ProfilerKind profiler = memsys::ProfilerKind::TreeMattson;
     /**

@@ -1,146 +1,9 @@
 #include "memsys/stack_distance.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace wsg::memsys
 {
-
-namespace
-{
-
-/** Initial Fenwick capacity (slots); grows by compaction as needed. */
-constexpr std::uint64_t kInitialSlots = 1 << 16;
-
-} // namespace
-
-StackDistanceProfiler::StackDistanceProfiler()
-    : tree_(kInitialSlots + 1, 0)
-{}
-
-std::uint64_t
-StackDistanceProfiler::prefix(std::uint64_t i) const
-{
-    std::uint64_t sum = 0;
-    for (; i > 0; i -= i & (~i + 1))
-        sum += tree_[i];
-    return sum;
-}
-
-void
-StackDistanceProfiler::update(std::uint64_t i, int delta)
-{
-    for (; i < tree_.size(); i += i & (~i + 1))
-        tree_[i] = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(tree_[i]) + delta);
-}
-
-void
-StackDistanceProfiler::compact()
-{
-    // Collect live (addr, slot) pairs in slot order and renumber densely.
-    std::vector<std::pair<std::uint64_t, Addr>> livePairs;
-    livePairs.reserve(live_);
-    for (const auto &[addr, slot] : last_) {
-        if (slot != kInvalidated)
-            livePairs.emplace_back(static_cast<std::uint64_t>(slot), addr);
-    }
-    std::sort(livePairs.begin(), livePairs.end());
-
-    std::uint64_t slots = std::max<std::uint64_t>(kInitialSlots,
-                                                  4 * live_ + 16);
-    tree_.assign(slots + 1, 0);
-    now_ = 0;
-    for (const auto &[oldSlot, addr] : livePairs) {
-        (void)oldSlot;
-        ++now_;
-        last_[addr] = static_cast<std::int64_t>(now_);
-        update(now_, +1);
-    }
-}
-
-DistanceSample
-StackDistanceProfiler::access(Addr line)
-{
-    if (now_ + 1 >= tree_.size())
-        compact();
-
-    DistanceSample sample;
-    auto it = last_.find(line);
-    if (it == last_.end()) {
-        sample.kind = RefClass::Cold;
-    } else if (it->second == kInvalidated) {
-        sample.kind = RefClass::Coherence;
-    } else {
-        sample.kind = RefClass::Finite;
-        auto slot = static_cast<std::uint64_t>(it->second);
-        // Depth == number of live lines touched more recently than `line`.
-        sample.distance = live_ - prefix(slot);
-        update(slot, -1);
-        --live_;
-    }
-
-    ++now_;
-    last_[line] = static_cast<std::int64_t>(now_);
-    update(now_, +1);
-    ++live_;
-    return sample;
-}
-
-void
-StackDistanceProfiler::accessBatch(const Addr *lines, std::size_t n,
-                                   DistanceSample *out)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = access(lines[i]);
-}
-
-bool
-StackDistanceProfiler::invalidate(Addr line)
-{
-    auto it = last_.find(line);
-    if (it == last_.end() || it->second == kInvalidated)
-        return false;
-    update(static_cast<std::uint64_t>(it->second), -1);
-    it->second = kInvalidated;
-    --live_;
-    return true;
-}
-
-bool
-StackDistanceProfiler::evict(Addr line)
-{
-    auto it = last_.find(line);
-    if (it == last_.end())
-        return false;
-    if (it->second != kInvalidated) {
-        update(static_cast<std::uint64_t>(it->second), -1);
-        --live_;
-    }
-    last_.erase(it);
-    return true;
-}
-
-std::uint64_t
-StackDistanceProfiler::memoryBytes() const
-{
-    // unordered_map node: pair + bucket pointer + next pointer, ~48 B
-    // on 64-bit hosts; the exact constant only matters for exact-vs-
-    // sampled *ratios*, which use the same formula on both sides.
-    constexpr std::uint64_t kMapNodeBytes = 48;
-    return static_cast<std::uint64_t>(last_.size()) * kMapNodeBytes +
-           static_cast<std::uint64_t>(tree_.size()) * sizeof(tree_[0]) +
-           sizeof(*this);
-}
-
-void
-StackDistanceProfiler::clear()
-{
-    last_.clear();
-    tree_.assign(kInitialSlots + 1, 0);
-    now_ = 0;
-    live_ = 0;
-}
 
 DistanceSample
 NaiveStackProfiler::access(Addr line)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Mattson LRU stack-distance profiler.
+ * Mattson LRU stack distances, and the naive reference profiler.
  *
  * This is the paper's measuring instrument generalized to every cache size
  * at once: for a fully associative LRU cache, a reference hits in a cache
@@ -16,11 +16,11 @@
  * communication" floor). First-ever accesses are Cold misses, which the
  * study driver can exclude by warming up.
  *
- * Implementation: each line keeps the timestamp of its latest access; a
- * Fenwick (binary indexed) tree over timestamps counts "live" stamps, so a
- * stack distance is one prefix-sum query — O(log n) per reference, with
- * periodic timestamp compaction to keep the tree proportional to the
- * number of live lines rather than the trace length.
+ * The simulator's exact construction is TreeStackDistanceProfiler
+ * (memsys/tree_stack_distance.hh). NaiveStackProfiler below keeps the
+ * stack as an explicit vector: O(live lines) per access, too slow for
+ * studies, but obviously correct — it is the oracle the property and
+ * differential tests check the fast profilers against.
  */
 
 #ifndef WSG_MEMSYS_STACK_DISTANCE_HH
@@ -37,95 +37,9 @@ namespace wsg::memsys
 {
 
 /**
- * Single-processor LRU stack-distance profiler with invalidation
- * support — the ProfilerKind::ListMattson construction.
- */
-class StackDistanceProfiler : public Profiler
-{
-  public:
-    StackDistanceProfiler();
-
-    ProfilerKind kind() const override { return ProfilerKind::ListMattson; }
-
-    /**
-     * Profile a reference to @p line and update the stack.
-     * @return the classified stack distance of the access.
-     */
-    DistanceSample access(Addr line) override;
-
-    /** Batched form: identical to n access() calls, minus the virtual
-     *  dispatch per reference. */
-    void accessBatch(const Addr *lines, std::size_t n,
-                     DistanceSample *out) override;
-
-    /**
-     * Remove @p line from the stack (coherence invalidation).
-     * @return true when the line was live.
-     */
-    bool invalidate(Addr line) override;
-
-    /**
-     * Forget @p line entirely: remove it from the stack *and* from the
-     * access history, as if it had never been touched. Unlike
-     * invalidate(), no tombstone is left, so a later access is Cold,
-     * not Coherence. This is the eviction primitive of fixed-size
-     * spatial sampling (src/approx): lines pushed above the admission
-     * threshold must stop consuming stack state immediately.
-     * @return true when the line was known (live or tombstoned).
-     */
-    bool evict(Addr line) override;
-
-    /** Whether @p line has ever been accessed (incl. tombstones). */
-    bool
-    tracks(Addr line) const override
-    {
-        return last_.count(line) != 0;
-    }
-
-    /** Number of lines currently in the stack (== footprint in lines). */
-    std::uint64_t liveLines() const override { return live_; }
-
-    /** Number of distinct lines ever touched. */
-    std::uint64_t
-    touchedLines() const override
-    {
-        return static_cast<std::uint64_t>(last_.size());
-    }
-
-    /** Forget everything (stack, history, tombstones). */
-    void clear() override;
-
-    /**
-     * Approximate resident bytes: hash-map entries plus the Fenwick
-     * tree. Used by the sampling diagnostics to report how much memory
-     * exact profiling costs versus the sampled configuration.
-     */
-    std::uint64_t memoryBytes() const override;
-
-  private:
-    static constexpr std::int64_t kInvalidated = -1;
-
-    /** Fenwick prefix sum over slots 1..i. */
-    std::uint64_t prefix(std::uint64_t i) const;
-    /** Fenwick point update at slot i by delta (+1/-1). */
-    void update(std::uint64_t i, int delta);
-    /** Renumber live timestamps to 1..live_ and shrink the tree. */
-    void compact();
-
-    /** addr -> latest slot (1-based), or kInvalidated tombstone. */
-    std::unordered_map<Addr, std::int64_t> last_;
-    /** Fenwick tree, 1-based; tree_[0] unused. */
-    std::vector<std::uint32_t> tree_;
-    /** Next slot to hand out. */
-    std::uint64_t now_ = 0;
-    /** Number of live (non-tombstone) lines. */
-    std::uint64_t live_ = 0;
-};
-
-/**
  * Reference implementation: an explicit LRU stack maintained as a vector.
- * O(n) per access — used only by property tests to validate
- * StackDistanceProfiler on random traces.
+ * Mirrors the Profiler semantics of access / invalidate / evict; used
+ * only by tests.
  */
 class NaiveStackProfiler
 {
@@ -135,10 +49,21 @@ class NaiveStackProfiler
     /** Full forget, mirroring Profiler::evict semantics: the line
      *  leaves the stack *and* the seen set, so a retouch is Cold. */
     bool evict(Addr line);
+
+    /** Whether @p line has ever been accessed (incl. tombstones). */
+    bool tracks(Addr line) const { return seen_.count(line) != 0; }
+
     std::uint64_t
     liveLines() const
     {
         return static_cast<std::uint64_t>(stack_.size());
+    }
+
+    /** Distinct lines ever touched and not evicted since. */
+    std::uint64_t
+    touchedLines() const
+    {
+        return static_cast<std::uint64_t>(seen_.size());
     }
 
   private:

@@ -3,19 +3,20 @@
  * Order-statistic-tree exact Mattson profiler (ProfilerKind::TreeMattson).
  *
  * Semantically identical — bit for bit, enforced by
- * test_memsys_profiler_differential — to StackDistanceProfiler: the
- * same RefClass classification, the same tombstone behaviour, the same
- * distances. The difference is purely mechanical: live timestamps sit
- * in an OrderStatSet — a dense bitmap with an implicit order-statistic
- * tree over group counts — whose operations are all search-free bit
- * twiddles plus short Fenwick walks. Timestamps are handed out
+ * test_memsys_profiler_differential — to the explicit LRU stack of
+ * NaiveStackProfiler: the same RefClass classification, the same
+ * tombstone behaviour, the same distances. The difference is purely
+ * mechanical: live timestamps sit in an OrderStatSet — a dense bitmap
+ * with an implicit order-statistic tree over group counts — whose
+ * operations are all search-free bit twiddles plus short Fenwick
+ * walks. Timestamps are handed out
  * consecutively so the set stays dense; when erased stamps have blown
  * the span past 4x the live count the profiler renumbers them (an
  * order-preserving O(live log live) walk, amortized O(1) per access
  * because at least 3x live accesses must pass between renumberings).
  * Renumbering preserves the relative order of live stamps, so every
  * reported distance is unaffected — the bit-identical guarantee holds
- * across compaction points.
+ * across renumbering points.
  *
  * Each line's latest stamp lives in a LineTable indexed by line number,
  * so a reference costs a few direct-indexed loads and no hashing. Two

@@ -12,7 +12,7 @@
  * Study overrides — "sample_rate" (fixed-rate sampling), "sample_size"
  * (fixed-size sampling; mutually exclusive with sample_rate),
  * "analyze_races" (bool), "timeout_seconds", "profiler"
- * (list-mattson | tree-mattson | aet), "protocol" (write-invalidate |
+ * (tree-mattson | aet), "protocol" (write-invalidate |
  * write-update | mi | msi | mesi), "hierarchy" (single |
  * incl:<l1>:<l2> | excl:<l1>:<l2>), "scheduler" (static | round-robin
  * | steal[:rRATE][:sSEED]) and "points_per_octave" — mirror the runner

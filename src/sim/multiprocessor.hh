@@ -7,9 +7,10 @@
  * each processor having a single level of cache and an equal fraction of
  * the total main memory".
  *
- * Every processor owns a StackDistanceProfiler, so one application run
- * produces the exact fully-associative-LRU miss-rate curve over *all*
- * cache sizes. A write-invalidate directory sits across the processors:
+ * Every processor owns a stack-distance profiler (exact tree-Mattson by
+ * default, or AET; see SimConfig::profiler), so one application run
+ * produces the fully-associative-LRU miss-rate curve over *all* cache
+ * sizes. A write-invalidate directory sits across the processors:
  * a write by processor p removes the line from every other processor's
  * stack, so the next access by a previous sharer is a Coherence miss — a
  * miss at every cache size, i.e.\ the paper's inherent-communication floor.
@@ -77,7 +78,6 @@
 #include "memsys/hierarchy.hh"
 #include "memsys/line_table.hh"
 #include "memsys/profiler.hh"
-#include "memsys/stack_distance.hh"
 #include "sim/coherence.hh"
 #include "stats/curve.hh"
 #include "stats/histogram.hh"
@@ -103,10 +103,10 @@ struct SimConfig
     /** Profiler sampling policy; default is exact profiling. */
     approx::SamplingConfig sampling{};
     /**
-     * Which miss-rate-curve construction each processor runs. The two
-     * Mattson kinds produce bit-identical curves (tree is the faster
-     * default); Aet trades exactness of the finite-distance part for
-     * O(1) per-reference cost and does not compose with sampling.
+     * Which miss-rate-curve construction each processor runs. The
+     * default tree-Mattson is exact; Aet trades exactness of the
+     * finite-distance part for O(1) per-reference cost and does not
+     * compose with sampling.
      */
     memsys::ProfilerKind profiler = memsys::ProfilerKind::TreeMattson;
     /**

@@ -358,58 +358,58 @@ expectClean(const core::StudyResult &result, const char *what)
 
 TEST(GoldenStudiesRaceFree, BlockedLu)
 {
-    expectClean(core::runLuStudy(core::presets::simLu(),
-                                 raceCheckedStudy()),
+    expectClean(core::runStudy(core::luStudyJob(core::presets::simLu(),
+                                                raceCheckedStudy())),
                 "lu");
 }
 
 TEST(GoldenStudiesRaceFree, BlockedCholesky)
 {
-    expectClean(core::runCholeskyStudy(core::presets::simCholesky(),
-                                       raceCheckedStudy()),
+    expectClean(core::runStudy(core::choleskyStudyJob(
+                    core::presets::simCholesky(), raceCheckedStudy())),
                 "cholesky");
 }
 
 TEST(GoldenStudiesRaceFree, GridCg)
 {
-    expectClean(core::runCgStudy(core::presets::simCg2d(), 2, 1,
-                                 raceCheckedStudy()),
+    expectClean(core::runStudy(core::cgStudyJob(
+                    core::presets::simCg2d(), 2, 1, raceCheckedStudy())),
                 "cg");
 }
 
 TEST(GoldenStudiesRaceFree, UnstructuredCg)
 {
-    expectClean(core::runUnstructuredStudy(
+    expectClean(core::runStudy(core::unstructuredStudyJob(
                     core::presets::simUnstructured(), 2, 1,
-                    raceCheckedStudy()),
+                    raceCheckedStudy())),
                 "ucg");
 }
 
 TEST(GoldenStudiesRaceFree, ParallelFft)
 {
-    expectClean(core::runFftStudy(core::presets::simFft(), 1, 1,
-                                  raceCheckedStudy()),
+    expectClean(core::runStudy(core::fftStudyJob(
+                    core::presets::simFft(), 1, 1, raceCheckedStudy())),
                 "fft");
 }
 
 TEST(GoldenStudiesRaceFree, Fft2d)
 {
-    expectClean(core::runFft2dStudy(core::presets::simFft2d(), 1, 1,
-                                    raceCheckedStudy()),
+    expectClean(core::runStudy(core::fft2dStudyJob(
+                    core::presets::simFft2d(), 1, 1, raceCheckedStudy())),
                 "fft2d");
 }
 
 TEST(GoldenStudiesRaceFree, Fft3d)
 {
-    expectClean(core::runFft3dStudy(core::presets::simFft3d(), 1, 1,
-                                    raceCheckedStudy()),
+    expectClean(core::runStudy(core::fft3dStudyJob(
+                    core::presets::simFft3d(), 1, 1, raceCheckedStudy())),
                 "fft3d");
 }
 
 TEST(GoldenStudiesRaceFree, BarnesHut)
 {
-    core::StudyResult result = core::runBarnesStudy(
-        core::presets::simBarnesFig6(), 1, 1, raceCheckedStudy());
+    core::StudyResult result = core::runStudy(core::barnesStudyJob(
+        core::presets::simBarnesFig6(), 1, 1, raceCheckedStudy()));
     expectClean(result, "barnes");
     // Barnes-Hut is the lock-using application: the moment pass
     // annotates per-cell locks, so its stream must carry lock ops.
@@ -418,9 +418,10 @@ TEST(GoldenStudiesRaceFree, BarnesHut)
 
 TEST(GoldenStudiesRaceFree, Volrend)
 {
-    expectClean(core::runVolrendStudy(core::presets::simVolrendDims(),
-                                      core::presets::simVolrendRender(),
-                                      1, 1, raceCheckedStudy()),
+    expectClean(core::runStudy(core::volrendStudyJob(
+                    core::presets::simVolrendDims(),
+                    core::presets::simVolrendRender(), 1, 1,
+                    raceCheckedStudy())),
                 "volrend");
 }
 
@@ -431,7 +432,7 @@ TEST(GoldenStudiesRaceFree, DisabledByDefault)
     cfg.blockSize = 8;
     cfg.procRows = 2;
     cfg.procCols = 2;
-    core::StudyResult result = core::runLuStudy(cfg);
+    core::StudyResult result = core::runStudy(core::luStudyJob(cfg));
     EXPECT_FALSE(result.races.enabled);
     EXPECT_EQ(result.races.refsChecked, 0u);
 }

@@ -92,6 +92,28 @@ TEST(CampaignGrid, RejectsMalformedSpecs)
         CampaignError);
 }
 
+TEST(CampaignGrid, RemovedListProfilerIsRejected)
+{
+    for (const char *name : {"list", "list-mattson"}) {
+        try {
+            parseGridSpec(
+                std::string(
+                    R"({"schema":"wsg-campaign-grid-v1","profilers":[")") +
+                name + "\"]}");
+            ADD_FAILURE() << name << " was accepted";
+        } catch (const CampaignError &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("grid field 'profilers'"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("removed; tree-mattson gives identical "
+                                "curves"),
+                      std::string::npos)
+                << what;
+        }
+    }
+}
+
 TEST(CampaignGrid, SamplingPointSpellings)
 {
     EXPECT_EQ(parseSamplingPoint("exact").label, "exact");

@@ -294,4 +294,11 @@ TEST(StudyRunner, CliRejectsMalformedFlagsWithCleanError)
                 testing::ExitedWithCode(2), "non-negative integer");
     EXPECT_EXIT(parse({"prog", "--json"}),
                 testing::ExitedWithCode(2), "--json needs a value");
+    // The removed list-Mattson construction names its replacement.
+    EXPECT_EXIT(parse({"prog", "--profiler", "list"}),
+                testing::ExitedWithCode(2),
+                "'list' was removed; tree-mattson gives identical curves");
+    EXPECT_EXIT(parse({"prog", "--profiler=list-mattson"}),
+                testing::ExitedWithCode(2),
+                "'list-mattson' was removed");
 }

@@ -48,7 +48,7 @@ TEST(StudyDriver, AutoMaxCacheCoversTheFootprint)
 
 TEST(StudyDriver, DescribeStudyMentionsTheEssentials)
 {
-    StudyResult res = runLuStudy(presets::simLu(8));
+    StudyResult res = runStudy(luStudyJob(presets::simLu(8)));
     std::string text = describeStudy(res);
     EXPECT_NE(text.find("working sets"), std::string::npos);
     EXPECT_NE(text.find("lev1WS"), std::string::npos);
@@ -96,7 +96,7 @@ TEST(StudyDriver, KneeFloorGuardsCommunicationNoise)
     // floor: run a workload whose floor is substantial and check every
     // reported knee sits above it.
     apps::cg::CgConfig cfg = presets::simCg2d();
-    StudyResult res = runCgStudy(cfg, 2, 1);
+    StudyResult res = runStudy(cgStudyJob(cfg, 2, 1));
     for (const auto &ws : res.workingSets)
         EXPECT_GE(ws.missRateBefore, res.floorRate);
 }
@@ -108,7 +108,8 @@ TEST(StudyWatchdog, TimeoutSurfacesAsTypedError)
     // instead of completing (or hanging a pool worker).
     StudyConfig sc;
     sc.timeoutSeconds = 1e-9;
-    EXPECT_THROW(runLuStudy(presets::simLu(8), sc), StudyTimeoutError);
+    EXPECT_THROW(runStudy(luStudyJob(presets::simLu(8), sc)),
+                 StudyTimeoutError);
 }
 
 TEST(StudyWatchdog, InlineJobReportsTimedOut)

@@ -93,6 +93,43 @@ TEST(FigureSuite, SamplingChangesTheKeyTimeoutDoesNot)
     EXPECT_EQ(a.canonicalConfig, c.canonicalConfig);
 }
 
+TEST(FigureSuite, VariantNamesRoundTrip)
+{
+    for (const char *name :
+         {"fig2-lu-B16", "fig2-lu-B16@size=small", "fig2-lu-B16@line=32",
+          "fig2-lu-B16@size=large@line=64"}) {
+        auto [preset, variant] = parseSuiteName(name);
+        EXPECT_EQ(preset, "fig2-lu-B16");
+        EXPECT_EQ(suiteVariantName(preset, variant), name);
+        EXPECT_EQ(figureSuiteJob(name).name, name);
+    }
+}
+
+TEST(FigureSuite, MalformedVariantNamesThrow)
+{
+    // Every accepted name must already be canonical: it is a cache and
+    // manifest key, so a second spelling of one study would split it.
+    for (const char *name :
+         {"fig2-lu-B16@", "fig2-lu-B16@size", "fig2-lu-B16@=small",
+          "fig2-lu-B16@size=", "fig2-lu-B16@size=huge",
+          "fig2-lu-B16@ppo=2", "fig2-lu-B16@line=0",
+          "fig2-lu-B16@line=abc", "fig2-lu-B16@line=2097152",
+          "fig2-lu-B16@line=99999999999999999999",
+          // Signs, whitespace and leading zeros would be renamed.
+          "fig2-lu-B16@line=+8", "fig2-lu-B16@line= 8",
+          "fig2-lu-B16@line=08", "fig2-lu-B16@line=-8",
+          "fig2-lu-B16@line=8 ",
+          // A repeated key would silently keep the last value.
+          "fig2-lu-B16@size=small@size=large",
+          "fig2-lu-B16@line=8@line=8",
+          "fig2-lu-B16@size=small@line=8@size=small"}) {
+        EXPECT_THROW(parseSuiteName(name), std::invalid_argument)
+            << name;
+        EXPECT_THROW(figureSuiteJob(name), std::invalid_argument)
+            << name;
+    }
+}
+
 namespace
 {
 

@@ -45,7 +45,7 @@ TEST(GoldenKnees, LuSmall)
     cfg.blockSize = 8;
     cfg.procRows = 2;
     cfg.procCols = 2;
-    StudyResult r = runLuStudy(cfg);
+    StudyResult r = runStudy(luStudyJob(cfg));
 
     // Trace determinism (exact).
     EXPECT_EQ(r.aggregate.reads, 184752u);
@@ -68,7 +68,7 @@ TEST(GoldenKnees, CgSmall)
     cfg.dims = 2;
     cfg.procX = 2;
     cfg.procY = 2;
-    StudyResult r = runCgStudy(cfg, 2, 1);
+    StudyResult r = runStudy(cgStudyJob(cfg, 2, 1));
 
     EXPECT_EQ(r.aggregate.reads, 175104u);
     EXPECT_EQ(r.aggregate.writes, 40960u);
@@ -87,7 +87,7 @@ TEST(GoldenKnees, FftSmall)
     cfg.logN = 10;
     cfg.numProcs = 4;
     cfg.internalRadix = 8;
-    StudyResult r = runFftStudy(cfg, 1, 1);
+    StudyResult r = runStudy(fftStudyJob(cfg, 1, 1));
 
     EXPECT_EQ(r.aggregate.reads, 31616u);
     EXPECT_EQ(r.aggregate.writes, 19328u);
@@ -105,7 +105,7 @@ TEST(GoldenKnees, BarnesSmall)
     cfg.numBodies = 256;
     cfg.numProcs = 4;
     cfg.theta = 1.0;
-    StudyResult r = runBarnesStudy(cfg, 1, 1);
+    StudyResult r = runStudy(barnesStudyJob(cfg, 1, 1));
 
     EXPECT_EQ(r.aggregate.reads, 101386u);
     EXPECT_EQ(r.aggregate.writes, 2499u);
@@ -128,7 +128,7 @@ TEST(GoldenKnees, VolrendSmall)
     render.imageWidth = 32;
     render.imageHeight = 32;
     render.numProcs = 4;
-    StudyResult r = runVolrendStudy(dims, render, 1, 1);
+    StudyResult r = runStudy(volrendStudyJob(dims, render, 1, 1));
 
     EXPECT_EQ(r.aggregate.reads, 67417u);
     EXPECT_EQ(r.aggregate.writes, 1024u);

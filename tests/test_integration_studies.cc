@@ -24,7 +24,7 @@ TEST(StudyLu, KneesMatchAnalyticalWorkingSets)
     cfg.blockSize = 16;
     cfg.procRows = 2;
     cfg.procCols = 2;
-    StudyResult res = runLuStudy(cfg);
+    StudyResult res = runStudy(luStudyJob(cfg));
 
     ASSERT_FALSE(res.curve.empty());
     // Curve is non-increasing.
@@ -55,7 +55,7 @@ TEST(StudyLu, MissRateBeforeAnyReuseIsAboutOnePerFlop)
     cfg.blockSize = 8;
     cfg.procRows = 2;
     cfg.procCols = 2;
-    StudyResult res = runLuStudy(cfg);
+    StudyResult res = runStudy(luStudyJob(cfg));
     double tiny_cache = res.curve.points().front().y;
     EXPECT_GT(tiny_cache, 0.5);
     EXPECT_LT(tiny_cache, 1.6);
@@ -64,7 +64,7 @@ TEST(StudyLu, MissRateBeforeAnyReuseIsAboutOnePerFlop)
 TEST(StudyCg, Lev1KneeNearModelPrediction)
 {
     apps::cg::CgConfig cfg = presets::simCg2d();
-    StudyResult res = runCgStudy(cfg, 3, 1);
+    StudyResult res = runStudy(cgStudyJob(cfg, 3, 1));
 
     model::CgModel m({cfg.n, cfg.numProcs(), 2});
     double lev1 = m.workingSets()[0].sizeBytes; // 5 * 32 * 8 = 1280 B
@@ -88,7 +88,7 @@ TEST(StudyCg, Lev1KneeNearModelPrediction)
 TEST(StudyCg, CoherenceTrafficMatchesPerimeterExchange)
 {
     apps::cg::CgConfig cfg = presets::simCg2d();
-    StudyResult res = runCgStudy(cfg, 4, 2);
+    StudyResult res = runStudy(cgStudyJob(cfg, 4, 2));
     // Each measured iteration, each processor re-reads ~perimeter
     // partner values: 4 * (n/sqrtP) * sqrtP... overall the coherence
     // count must be nonzero and small relative to total reads.
@@ -103,7 +103,7 @@ TEST(StudyFft, RadixPlateausFollowTheModel)
         cfg.logN = 12;
         cfg.numProcs = 4;
         cfg.internalRadix = radix;
-        StudyResult res = runFftStudy(cfg, 1, 1);
+        StudyResult res = runStudy(fftStudyJob(cfg, 1, 1));
 
         model::FftModel m({cfg.N(), cfg.numProcs, radix});
         double model_rate = m.workingSets()[0].missRateAfter;
@@ -125,7 +125,7 @@ TEST(StudyFft, HigherRadixLowersThePlateau)
         cfg.logN = 12;
         cfg.numProcs = 4;
         cfg.internalRadix = radix;
-        StudyResult res = runFftStudy(cfg, 1, 1);
+        StudyResult res = runStudy(fftStudyJob(cfg, 1, 1));
         double plateau = res.curve.valueAtOrBelow(4096.0);
         EXPECT_LT(plateau, prev);
         prev = plateau;
@@ -139,7 +139,7 @@ TEST(StudyBarnes, HierarchyHasSmallLev1AndMidSizeLev2)
     cfg.numProcs = 4;
     cfg.theta = 1.0;
     cfg.seed = 5;
-    StudyResult res = runBarnesStudy(cfg, 1, 1);
+    StudyResult res = runStudy(barnesStudyJob(cfg, 1, 1));
 
     ASSERT_GE(res.workingSets.size(), 1u);
     // Non-increasing curve with a big total drop.
@@ -168,7 +168,7 @@ TEST(StudyVolrend, RayCoherenceGivesSmallWorkingSet)
     render.imageWidth = 48;
     render.imageHeight = 48;
     render.numProcs = 4;
-    StudyResult res = runVolrendStudy(dims, render, 1, 1);
+    StudyResult res = runStudy(volrendStudyJob(dims, render, 1, 1));
 
     double tiny = res.curve.points().front().y;
     double after2 = res.curve.valueAtOrBelow(32.0 * 1024.0);
@@ -185,8 +185,8 @@ TEST(StudyWarmup, ExcludingColdStartLowersTheCurve)
 
     StudyConfig with_cold;
     with_cold.includeCold = true;
-    StudyResult cold = runCgStudy(cfg, 2, 0, with_cold);
-    StudyResult warm = runCgStudy(cfg, 2, 1);
+    StudyResult cold = runStudy(cgStudyJob(cfg, 2, 0, with_cold));
+    StudyResult warm = runStudy(cgStudyJob(cfg, 2, 1));
 
     // At the largest cache size, the warm run shows only inherent
     // communication, the cold run shows the whole footprint.
@@ -207,8 +207,8 @@ TEST(StudyCg, SweepBlockingShrinksTheLev1Window)
 
     StudyConfig sc;
     sc.minCacheBytes = 64;
-    StudyResult rp = runCgStudy(plain, 3, 1, sc);
-    StudyResult rb = runCgStudy(blocked, 3, 1, sc);
+    StudyResult rp = runStudy(cgStudyJob(plain, 3, 1, sc));
+    StudyResult rb = runStudy(cgStudyJob(blocked, 3, 1, sc));
 
     // The blocked sweep reaches its post-lev1 plateau by ~1 KB; the
     // unblocked one is still on its pre-knee plateau there.

@@ -1,20 +1,20 @@
 /**
  * @file
- * The tentpole's correctness gate for the profiler bake-off: the
- * tree-Mattson profiler must be BYTE-IDENTICAL to the legacy
- * list-Mattson profiler — every sample classification, every distance,
- * every derived curve — on synthetic reference streams (random, looped,
- * invalidation-heavy, eviction-heavy, a renumbering-triggering long
- * stream, and sparse lines across the 64-bit space checked against the
- * naive oracle) and on all nine application studies at 1, 2, 4 and 8 runner
- * workers. Also the batched-ingestion property: accessBatch must equal
- * one-at-a-time ingestion for every construction at any batch size, and
- * BatchingSink must forward a sink stream unchanged.
+ * The correctness gate for the exact profiler: tree-Mattson must agree
+ * with the naive explicit-LRU-stack oracle on every sample
+ * classification, every distance and every live/touched count, on
+ * synthetic reference streams (random, looped, invalidation-heavy,
+ * eviction-heavy, a renumbering-triggering long stream, and sparse
+ * lines across the 64-bit space). Also the nine application studies'
+ * JSON at 1, 2, 4 and 8 runner workers, and the batched-ingestion
+ * property: accessBatch must equal one-at-a-time ingestion for every
+ * construction at any batch size, and BatchingSink must forward a sink
+ * stream unchanged.
  */
 
-#include <cstring>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -107,151 +107,40 @@ makeSparseStream(std::uint64_t seed, std::size_t n, std::size_t num_lines,
     return ops;
 }
 
-/** Apply @p ops to the list, tree and naive profilers in lockstep; the
- *  O(live)-per-access naive stack is the oracle for both. */
+/** Apply @p ops to the tree profiler and the O(live)-per-access naive
+ *  stack in lockstep, requiring identical classifications, distances,
+ *  return values and state after every operation. */
 void
-expectThreeWayAgreement(const std::vector<Op> &ops)
+expectTreeMatchesNaiveOn(const std::vector<Op> &ops)
 {
-    memsys::StackDistanceProfiler list;
     memsys::TreeStackDistanceProfiler tree;
     memsys::NaiveStackProfiler naive;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const Op &op = ops[i];
         switch (op.kind) {
           case Op::Access: {
-            DistanceSample sl = list.access(op.line);
             DistanceSample st = tree.access(op.line);
             DistanceSample sn = naive.access(op.line);
-            ASSERT_EQ(sn.kind, sl.kind) << "op " << i;
             ASSERT_EQ(sn.kind, st.kind) << "op " << i;
             if (sn.kind == RefClass::Finite) {
-                ASSERT_EQ(sn.distance, sl.distance) << "op " << i;
                 ASSERT_EQ(sn.distance, st.distance) << "op " << i;
             }
             break;
           }
-          case Op::Invalidate: {
-            bool rn = naive.invalidate(op.line);
-            ASSERT_EQ(rn, list.invalidate(op.line)) << "op " << i;
-            ASSERT_EQ(rn, tree.invalidate(op.line)) << "op " << i;
-            break;
-          }
-          case Op::Evict: {
-            bool rn = naive.evict(op.line);
-            ASSERT_EQ(rn, list.evict(op.line)) << "op " << i;
-            ASSERT_EQ(rn, tree.evict(op.line)) << "op " << i;
-            break;
-          }
-        }
-        ASSERT_EQ(naive.liveLines(), list.liveLines()) << "op " << i;
-        ASSERT_EQ(naive.liveLines(), tree.liveLines()) << "op " << i;
-        ASSERT_EQ(list.tracks(op.line), tree.tracks(op.line))
-            << "op " << i;
-    }
-    EXPECT_EQ(list.touchedLines(), tree.touchedLines());
-}
-
-/** Apply @p ops to two Profiler implementations in lockstep, requiring
- *  identical classifications, distances, return values and state. */
-void
-expectLockstepIdentical(const std::vector<Op> &ops,
-                        memsys::Profiler &a, memsys::Profiler &b)
-{
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const Op &op = ops[i];
-        switch (op.kind) {
-          case Op::Access: {
-            DistanceSample sa = a.access(op.line);
-            DistanceSample sb = b.access(op.line);
-            ASSERT_EQ(sa.kind, sb.kind) << "op " << i;
-            if (sa.kind == RefClass::Finite) {
-                ASSERT_EQ(sa.distance, sb.distance) << "op " << i;
-            }
-            break;
-          }
           case Op::Invalidate:
-            ASSERT_EQ(a.invalidate(op.line), b.invalidate(op.line))
+            ASSERT_EQ(naive.invalidate(op.line), tree.invalidate(op.line))
                 << "op " << i;
             break;
           case Op::Evict:
-            ASSERT_EQ(a.evict(op.line), b.evict(op.line)) << "op " << i;
+            ASSERT_EQ(naive.evict(op.line), tree.evict(op.line))
+                << "op " << i;
             break;
         }
-        ASSERT_EQ(a.tracks(op.line), b.tracks(op.line)) << "op " << i;
+        ASSERT_EQ(naive.liveLines(), tree.liveLines()) << "op " << i;
+        ASSERT_EQ(naive.tracks(op.line), tree.tracks(op.line))
+            << "op " << i;
     }
-    EXPECT_EQ(a.liveLines(), b.liveLines());
-    EXPECT_EQ(a.touchedLines(), b.touchedLines());
-}
-
-void
-expectTreeMatchesListOn(const std::vector<Op> &ops)
-{
-    memsys::StackDistanceProfiler list;
-    memsys::TreeStackDistanceProfiler tree;
-    expectLockstepIdentical(ops, list, tree);
-}
-
-void
-expectCurvesByteIdentical(const stats::Curve &a, const stats::Curve &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(std::memcmp(&a[i].x, &b[i].x, sizeof(double)), 0)
-            << "x differs at point " << i;
-        ASSERT_EQ(std::memcmp(&a[i].y, &b[i].y, sizeof(double)), 0)
-            << "y differs at point " << i;
-    }
-}
-
-void
-expectHistogramsEqual(const stats::Histogram &a,
-                      const stats::Histogram &b)
-{
-    ASSERT_EQ(a.totalSamples(), b.totalSamples());
-    ASSERT_EQ(a.infiniteSamples(), b.infiniteSamples());
-    ASSERT_EQ(a.maxValue(), b.maxValue());
-    for (std::uint64_t v = 0; v <= a.maxValue(); ++v)
-        ASSERT_EQ(a.count(v), b.count(v)) << "bucket " << v;
-}
-
-void
-expectResultsIdentical(const StudyResult &a, const StudyResult &b)
-{
-    expectCurvesByteIdentical(a.curve, b.curve);
-    ASSERT_EQ(a.workingSets.size(), b.workingSets.size());
-    for (std::size_t k = 0; k < a.workingSets.size(); ++k) {
-        ASSERT_EQ(std::memcmp(&a.workingSets[k].sizeBytes,
-                              &b.workingSets[k].sizeBytes,
-                              sizeof(double)), 0);
-        ASSERT_EQ(std::memcmp(&a.workingSets[k].missRateAfter,
-                              &b.workingSets[k].missRateAfter,
-                              sizeof(double)), 0);
-    }
-    EXPECT_EQ(a.aggregate.reads, b.aggregate.reads);
-    EXPECT_EQ(a.aggregate.writes, b.aggregate.writes);
-    EXPECT_EQ(a.aggregate.readCold, b.aggregate.readCold);
-    EXPECT_EQ(a.aggregate.readCoherence, b.aggregate.readCoherence);
-    EXPECT_EQ(a.aggregate.writeCold, b.aggregate.writeCold);
-    EXPECT_EQ(a.aggregate.writeCoherence, b.aggregate.writeCoherence);
-    expectHistogramsEqual(a.aggregate.readDistances,
-                          b.aggregate.readDistances);
-    expectHistogramsEqual(a.aggregate.writeDistances,
-                          b.aggregate.writeDistances);
-    EXPECT_EQ(a.maxFootprintBytes, b.maxFootprintBytes);
-    EXPECT_EQ(std::memcmp(&a.floorRate, &b.floorRate, sizeof(double)),
-              0);
-    ASSERT_EQ(a.missClasses.points.size(), b.missClasses.points.size());
-    for (std::size_t i = 0; i < a.missClasses.points.size(); ++i) {
-        const auto &pa = a.missClasses.points[i];
-        const auto &pb = b.missClasses.points[i];
-        ASSERT_EQ(std::memcmp(&pa.cold, &pb.cold, sizeof(double)), 0);
-        ASSERT_EQ(std::memcmp(&pa.capacity, &pb.capacity,
-                              sizeof(double)), 0);
-        ASSERT_EQ(std::memcmp(&pa.trueSharing, &pb.trueSharing,
-                              sizeof(double)), 0);
-        ASSERT_EQ(std::memcmp(&pa.falseSharing, &pb.falseSharing,
-                              sizeof(double)), 0);
-    }
+    EXPECT_EQ(naive.touchedLines(), tree.touchedLines());
 }
 
 /** The nine application studies, sized for the test tier. */
@@ -318,7 +207,7 @@ nineStudies(const StudyConfig &sc)
 TEST(ProfilerDifferential, RandomStream)
 {
     for (std::uint64_t seed : {1u, 2u, 3u})
-        expectTreeMatchesListOn(
+        expectTreeMatchesNaiveOn(
             makeStream(seed, 10000, 700, false, 0, 0));
 }
 
@@ -326,21 +215,21 @@ TEST(ProfilerDifferential, LoopedStream)
 {
     // Uniform loops are the Mattson worst case: every access sits at
     // the same (maximal) depth.
-    expectTreeMatchesListOn(makeStream(4, 10000, 333, true, 0, 0));
-    expectTreeMatchesListOn(makeStream(5, 10000, 1000, true, 0, 0));
+    expectTreeMatchesNaiveOn(makeStream(4, 10000, 333, true, 0, 0));
+    expectTreeMatchesNaiveOn(makeStream(5, 10000, 1000, true, 0, 0));
 }
 
 TEST(ProfilerDifferential, InvalidationStream)
 {
     for (std::uint64_t seed : {6u, 7u})
-        expectTreeMatchesListOn(
+        expectTreeMatchesNaiveOn(
             makeStream(seed, 10000, 400, false, 25, 0));
 }
 
 TEST(ProfilerDifferential, EvictionStream)
 {
     for (std::uint64_t seed : {8u, 9u})
-        expectTreeMatchesListOn(
+        expectTreeMatchesNaiveOn(
             makeStream(seed, 10000, 400, false, 0, 25));
 }
 
@@ -350,15 +239,15 @@ TEST(ProfilerDifferential, MixedStreamCrossesRenumbering)
     // outgrows 4x the live count far past kMinRenumberSpan (64k), so
     // this stream crosses many renumbering points; distances must be
     // unaffected.
-    expectTreeMatchesListOn(
+    expectTreeMatchesNaiveOn(
         makeStream(10, 300000, 900, false, 5, 5));
 }
 
-TEST(ProfilerDifferential, NaiveOracleAgreesWithBoth)
+TEST(ProfilerDifferential, MixedInvalidateEvictStream)
 {
-    // The O(n)-per-access explicit-stack oracle closes the loop: list
-    // and tree agreeing is not enough if both shared a bug.
-    expectThreeWayAgreement(makeStream(11, 2000, 150, false, 10, 10));
+    // Accesses, invalidations and evictions interleaved over a small
+    // footprint: tombstones and full forgets of the same lines.
+    expectTreeMatchesNaiveOn(makeStream(11, 2000, 150, false, 10, 10));
 }
 
 TEST(ProfilerDifferential, SparseSixtyFourBitLinesAgreeWithOracle)
@@ -366,7 +255,7 @@ TEST(ProfilerDifferential, SparseSixtyFourBitLinesAgreeWithOracle)
     // Raw traces may carry any address: lines from clusters across the
     // 64-bit space and up to 2^64 - 1 must profile exactly as dense
     // ones, through the line table's tallest radix paths.
-    expectThreeWayAgreement(makeSparseStream(14, 20000, 300, 10, 10));
+    expectTreeMatchesNaiveOn(makeSparseStream(14, 20000, 300, 10, 10));
 }
 
 TEST(ProfilerDifferential, SparseStreamCrossesRenumberingWithOracle)
@@ -375,7 +264,7 @@ TEST(ProfilerDifferential, SparseStreamCrossesRenumberingWithOracle)
     // kMinRenumberSpan (64k) about every 64k accesses, so invalidate and
     // evict interleavings straddle several renumbering points, each of
     // which rewrites every live stamp in the sparse table.
-    expectThreeWayAgreement(makeSparseStream(15, 260000, 500, 4, 4));
+    expectTreeMatchesNaiveOn(makeSparseStream(15, 260000, 500, 4, 4));
 }
 
 /**
@@ -409,21 +298,17 @@ TEST(ProfilerDifferential, TreeMemoryBytesArePinned)
  * from the profiler (spatial-sampling eviction, not coherence) must
  * leave the remaining stack intact — the next touch of the evicted
  * line is Cold, and every other line's distance counts only the lines
- * still live, identically in all exact profilers.
+ * still live, identically in the tree profiler and the oracle.
  */
 TEST(ProfilerDifferential, EvictThenRetouchKeepsDistancesAligned)
 {
-    memsys::StackDistanceProfiler list;
     memsys::TreeStackDistanceProfiler tree;
     memsys::NaiveStackProfiler naive;
 
     auto step = [&](Addr line) -> DistanceSample {
-        DistanceSample sl = list.access(line);
         DistanceSample st = tree.access(line);
         DistanceSample sn = naive.access(line);
-        EXPECT_EQ(sl.kind, sn.kind);
         EXPECT_EQ(st.kind, sn.kind);
-        EXPECT_EQ(sl.distance, sn.distance);
         EXPECT_EQ(st.distance, sn.distance);
         return sn;
     };
@@ -432,7 +317,6 @@ TEST(ProfilerDifferential, EvictThenRetouchKeepsDistancesAligned)
     step(2); // stack: 2 1
     step(3); // stack: 3 2 1
 
-    EXPECT_TRUE(list.evict(2));
     EXPECT_TRUE(tree.evict(2));
     EXPECT_TRUE(naive.evict(2));
 
@@ -455,6 +339,27 @@ TEST(ProfilerDifferential, EvictThenRetouchKeepsDistancesAligned)
     EXPECT_EQ(s3.distance, 2u); // 2 and 1 touched since
 }
 
+TEST(ProfilerKinds, NamesRoundTripAndListIsRemoved)
+{
+    for (ProfilerKind kind : {ProfilerKind::TreeMattson, ProfilerKind::Aet})
+        EXPECT_EQ(memsys::parseProfilerKind(memsys::profilerKindName(kind)),
+                  kind);
+    EXPECT_EQ(memsys::parseProfilerKind("tree"), ProfilerKind::TreeMattson);
+    for (const char *name : {"list", "list-mattson"}) {
+        try {
+            memsys::parseProfilerKind(name);
+            ADD_FAILURE() << name << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("profiler kind '") + name +
+                          "' was removed; tree-mattson gives identical "
+                          "curves");
+        }
+    }
+    EXPECT_THROW(memsys::parseProfilerKind("fenwick"),
+                 std::invalid_argument);
+}
+
 TEST(ProfilerBatching, BatchEqualsSingleForEveryConstruction)
 {
     auto ops = makeStream(12, 5000, 300, false, 0, 0);
@@ -463,9 +368,7 @@ TEST(ProfilerBatching, BatchEqualsSingleForEveryConstruction)
     for (const Op &op : ops)
         lines.push_back(op.line);
 
-    for (ProfilerKind kind :
-         {ProfilerKind::ListMattson, ProfilerKind::TreeMattson,
-          ProfilerKind::Aet}) {
+    for (ProfilerKind kind : {ProfilerKind::TreeMattson, ProfilerKind::Aet}) {
         auto single = approx::makeProfiler(kind);
         std::vector<DistanceSample> expect;
         expect.reserve(lines.size());
@@ -540,42 +443,7 @@ TEST(ProfilerBatching, BatchingSinkPreservesTheStream)
 }
 
 /**
- * The acceptance gate: tree-Mattson must be byte-identical to the
- * legacy list-Mattson on all nine application studies.
- */
-TEST(ProfilerDifferential, NineAppStudiesTreeEqualsList)
-{
-    StudyConfig sc_tree;
-    sc_tree.profiler = ProfilerKind::TreeMattson;
-    StudyConfig sc_list;
-    sc_list.profiler = ProfilerKind::ListMattson;
-
-    std::vector<StudyJob> tree_jobs = nineStudies(sc_tree);
-    std::vector<StudyJob> list_jobs = nineStudies(sc_list);
-
-    RunnerConfig rc;
-    rc.jobs = 4;
-    StudyRunner runner(rc);
-    auto tree_reports = runner.run(tree_jobs);
-    auto list_reports = runner.run(list_jobs);
-
-    ASSERT_EQ(tree_reports.size(), 9u);
-    ASSERT_EQ(list_reports.size(), 9u);
-    for (std::size_t i = 0; i < 9; ++i) {
-        ASSERT_TRUE(tree_reports[i].ok) << tree_reports[i].error;
-        ASSERT_TRUE(list_reports[i].ok) << list_reports[i].error;
-        SCOPED_TRACE(tree_reports[i].name);
-        expectResultsIdentical(tree_reports[i].result,
-                               list_reports[i].result);
-        EXPECT_EQ(tree_reports[i].result.sampling.profiler,
-                  ProfilerKind::TreeMattson);
-        EXPECT_EQ(list_reports[i].result.sampling.profiler,
-                  ProfilerKind::ListMattson);
-    }
-}
-
-/**
- * Worker-count determinism for the new default profiler: the nine-study
+ * Worker-count determinism for the default profiler: the nine-study
  * JSON artifact must serialize to the same bytes at 1, 2, 4 and 8
  * workers.
  */

@@ -164,6 +164,28 @@ TEST(ServeProtocol, BadMachineAxesBecomeProtocolErrors)
     EXPECT_THROW(req.studyConfig(), ProtocolError);
 }
 
+TEST(ServeProtocol, RemovedListProfilerIsAProtocolError)
+{
+    Request req;
+    req.op = Op::Study;
+    req.preset = "x";
+    for (const char *name : {"list", "list-mattson"}) {
+        req.profiler = name;
+        try {
+            req.studyConfig();
+            ADD_FAILURE() << name << " was accepted";
+        } catch (const ProtocolError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "removed; tree-mattson gives identical curves"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    req.profiler = "tree";
+    EXPECT_EQ(req.studyConfig().profiler,
+              memsys::ProfilerKind::TreeMattson);
+}
+
 TEST(ServeProtocol, ResponseHeaderRoundTrip)
 {
     ResponseHeader header;

@@ -285,11 +285,14 @@ smallStudies()
     barnes.numProcs = 4;
 
     std::vector<NamedStudy> studies;
-    studies.push_back({"lu", core::runLuStudy(lu, sc), 8});
-    studies.push_back({"cg", core::runCgStudy(cg, 2, 1, sc), 8});
-    studies.push_back({"fft", core::runFftStudy(fft, 1, 1, sc), 8});
+    studies.push_back({"lu", core::runStudy(core::luStudyJob(lu, sc)), 8});
     studies.push_back(
-        {"barnes", core::runBarnesStudy(barnes, 1, 1, sc, 32), 32});
+        {"cg", core::runStudy(core::cgStudyJob(cg, 2, 1, sc)), 8});
+    studies.push_back(
+        {"fft", core::runStudy(core::fftStudyJob(fft, 1, 1, sc)), 8});
+    studies.push_back(
+        {"barnes",
+         core::runStudy(core::barnesStudyJob(barnes, 1, 1, sc, 32)), 32});
     return studies;
 }
 
@@ -367,7 +370,7 @@ TEST(MissClassesStudies, SingleProcessorStudyHasZeroSharingMisses)
     cg.procY = 1;
     core::StudyConfig sc;
     sc.minCacheBytes = 16;
-    core::StudyResult r = core::runCgStudy(cg, 2, 1, sc);
+    core::StudyResult r = core::runStudy(core::cgStudyJob(cg, 2, 1, sc));
     EXPECT_EQ(r.aggregate.readCoherence, 0u);
     EXPECT_EQ(r.aggregate.writeCoherence, 0u);
     for (const sim::MissClassPoint &p : r.missClasses.points)

@@ -371,20 +371,25 @@ nineAppStudies(CoherenceProtocol protocol)
     render.numProcs = 4;
 
     std::vector<std::pair<std::string, core::StudyResult>> studies;
-    studies.emplace_back("lu", core::runLuStudy(lu, sc));
-    studies.emplace_back("cholesky", core::runCholeskyStudy(lu, sc));
-    studies.emplace_back("cg", core::runCgStudy(cg, 2, 1, sc));
-    studies.emplace_back("ucg",
-                         core::runUnstructuredStudy(ucg, 2, 1, sc));
-    studies.emplace_back("fft", core::runFftStudy(fft, 1, 1, sc));
-    studies.emplace_back("fft2d",
-                         core::runFft2dStudy(fft2d, 1, 1, sc));
-    studies.emplace_back("fft3d",
-                         core::runFft3dStudy(fft3d, 1, 1, sc));
+    studies.emplace_back("lu", core::runStudy(core::luStudyJob(lu, sc)));
+    studies.emplace_back("cholesky",
+                         core::runStudy(core::choleskyStudyJob(lu, sc)));
+    studies.emplace_back("cg",
+                         core::runStudy(core::cgStudyJob(cg, 2, 1, sc)));
     studies.emplace_back(
-        "barnes", core::runBarnesStudy(barnes, 1, 1, sc, 32));
+        "ucg", core::runStudy(core::unstructuredStudyJob(ucg, 2, 1, sc)));
+    studies.emplace_back("fft",
+                         core::runStudy(core::fftStudyJob(fft, 1, 1, sc)));
     studies.emplace_back(
-        "volrend", core::runVolrendStudy(dims, render, 1, 1, sc, 16));
+        "fft2d", core::runStudy(core::fft2dStudyJob(fft2d, 1, 1, sc)));
+    studies.emplace_back(
+        "fft3d", core::runStudy(core::fft3dStudyJob(fft3d, 1, 1, sc)));
+    studies.emplace_back(
+        "barnes",
+        core::runStudy(core::barnesStudyJob(barnes, 1, 1, sc, 32)));
+    studies.emplace_back(
+        "volrend", core::runStudy(core::volrendStudyJob(dims, render, 1,
+                                                        1, sc, 16)));
     return studies;
 }
 
