@@ -140,7 +140,8 @@ class SinkChain
 // ---------------------------------------------------------------------
 
 /** Capacity reserved for a canonical config: above the longest one
- *  (volrend's, ~560 bytes), so it is built in a single allocation. */
+ *  (about 600 bytes, volrend with every study axis off its default),
+ *  so it is built in a single allocation. */
 constexpr std::size_t kCanonicalReserve = 768;
 
 /** Append one canonical "key=value\n" line. */

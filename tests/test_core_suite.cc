@@ -169,9 +169,8 @@ offDefaultConfigs()
     return {mesi, incl, steal, sampled, races};
 }
 
-// Values taken from the hand-written per-app job factories; a change
-// here changes every config_hash, cache key and manifest, so it must
-// be deliberate.
+// A change here changes every config_hash, cache key and campaign
+// manifest, so it must be deliberate.
 constexpr PresetPins kPins[] = {
     {"fig2-lu-B4",
      {0xc4fe5a66037e7ac6ULL, 0x8a1cd4339e969cedULL, 0x6592ff374004ba36ULL,
